@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linkage import Configuration, DomainError, joint_state
-from .moments import mechanical_advantage
-from .pouch import ActuatorConditions, central_angle, input_moment, pouch_geometry
-from .linkage import mpf_theta1, semi_flat_theta1
+from .linkage import Configuration, DomainError, joint_state, mpf_theta1, semi_flat_theta1
+from .moments import moment_row
+from .pouch import ActuatorConditions, pouch_geometry
 from .manipulator import (
     ActivationSchedule,
     ManipulatorSpec,
@@ -40,8 +39,8 @@ from .manipulator import (
     UnitSpec,
 )
 
-_SWEEP_HEADER = "theta1_deg,theta2_deg,theta3_deg,theta4_deg"
-_MOMENT_HEADER = "theta1_deg,S_rad,M_input_Nm,MA,M_output_Nm"
+_SWEEP_COLUMNS = ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg")
+_MOMENT_COLUMNS = ("theta1_deg", "S_rad", "M_input_Nm", "MA", "M_output_Nm")
 _DEFAULT_STEPS = 60
 
 
@@ -72,6 +71,21 @@ def _deg_grid(min_deg: float, max_deg: float, steps: int) -> np.ndarray:
     return np.linspace(min_deg, max_deg, steps)
 
 
+def _write_table(args, columns, rows, meta: dict) -> None:
+    """Export rows as CSV (9 significant digits) or JSON (meta, then rows)."""
+    if args.format == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_g9(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = dict(meta)
+        payload["rows"] = [
+            {k: _r9(v) for k, v in zip(columns, row)} for row in rows
+        ]
+        text = json.dumps(payload) + "\n"
+    _write(args.out, text)
+
+
 def cmd_sweep(args) -> int:
     alpha = math.radians(args.alpha_deg)
     config = Configuration(args.config)
@@ -86,26 +100,8 @@ def cmd_sweep(args) -> int:
                 math.degrees(st.theta4),
             )
         )
-    if args.format == "csv":
-        lines = [_SWEEP_HEADER]
-        lines += [",".join(_g9(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "alpha_deg": _r9(args.alpha_deg),
-            "config": config.value,
-            "rows": [
-                {
-                    "theta1_deg": _r9(r[0]),
-                    "theta2_deg": _r9(r[1]),
-                    "theta3_deg": _r9(r[2]),
-                    "theta4_deg": _r9(r[3]),
-                }
-                for r in rows
-            ],
-        }
-        text = json.dumps(payload) + "\n"
-    _write(args.out, text)
+    meta = {"alpha_deg": _r9(args.alpha_deg), "config": config.value}
+    _write_table(args, _SWEEP_COLUMNS, rows, meta)
     return 0
 
 
@@ -116,34 +112,15 @@ def cmd_moment(args) -> int:
     cond = ActuatorConditions(args.pressure_pa)
     rows = []
     for d in _deg_grid(args.min_deg, args.max_deg, args.steps):
-        th = math.radians(d)
-        s = central_angle(th)
-        mi = input_moment(geom, cond, th)
-        ma = mechanical_advantage(alpha, th, config)
-        rows.append((float(d), s, mi, ma, ma * mi))
-    if args.format == "csv":
-        lines = [_MOMENT_HEADER]
-        lines += [",".join(_g9(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "alpha_deg": _r9(args.alpha_deg),
-            "config": config.value,
-            "pressure_pa": _r9(args.pressure_pa),
-            "m_mm": _r9(args.m_mm),
-            "rows": [
-                {
-                    "theta1_deg": _r9(r[0]),
-                    "S_rad": _r9(r[1]),
-                    "M_input_Nm": _r9(r[2]),
-                    "MA": _r9(r[3]),
-                    "M_output_Nm": _r9(r[4]),
-                }
-                for r in rows
-            ],
-        }
-        text = json.dumps(payload) + "\n"
-    _write(args.out, text)
+        r = moment_row(geom, cond, alpha, math.radians(d), config)
+        rows.append((float(d), r.S, r.M_input, r.MA, r.M_output))
+    meta = {
+        "alpha_deg": _r9(args.alpha_deg),
+        "config": config.value,
+        "pressure_pa": _r9(args.pressure_pa),
+        "m_mm": _r9(args.m_mm),
+    }
+    _write_table(args, _MOMENT_COLUMNS, rows, meta)
     return 0
 
 
@@ -182,6 +159,20 @@ def _parse_alpha_list(text: str):
     return vals
 
 
+def _phase_target(name: str, gamma: float, angle_deg=None):
+    """Phase target by name: mpf (at gamma), semiflat, or out (at angle_deg)."""
+    key = name.lower()
+    if key == "mpf":
+        return MPF(gamma)
+    if key == "semiflat":
+        return SemiFlat()
+    if key == "out":
+        if angle_deg is None:
+            raise ValueError("out target needs an angle")
+        return OutputAngle(math.radians(float(angle_deg)))
+    raise ValueError(f"unknown phase target {name!r}")
+
+
 def _parse_schedule_text(text: str, n: int, gamma: float):
     """Inline schedule: comma-joined unit:target[:steps], units 1-based.
 
@@ -195,15 +186,10 @@ def _parse_schedule_text(text: str, n: int, gamma: float):
         unit = int(parts[0]) - 1
         if not 0 <= unit < n:
             raise ValueError(f"phase unit {parts[0]} outside 1..{n}")
-        key = parts[1].lower()
-        if key == "mpf":
-            target = MPF(gamma)
-        elif key == "semiflat":
-            target = SemiFlat()
-        elif key.startswith("out"):
-            target = OutputAngle(math.radians(float(key[3:])))
-        else:
-            raise ValueError(f"unknown phase target {parts[1]!r}")
+        name, angle = parts[1], None
+        if name.lower().startswith("out"):
+            name, angle = name[:3], name[3:]
+        target = _phase_target(name, gamma, angle)
         steps = int(parts[2]) if len(parts) == 3 else _DEFAULT_STEPS
         if steps < 1:
             raise ValueError("phase steps must be positive")
@@ -221,16 +207,8 @@ def _schedule_from_json(data: dict, n: int, gamma: float) -> ActivationSchedule:
             unit = int(ph["unit"])
             if not 0 <= unit < n:
                 raise SpecError(f"schedule unit {unit} outside 0..{n - 1}")
-            key = str(ph["target"]).lower()
-            if key == "mpf":
-                g = math.radians(float(ph["gamma_deg"])) if "gamma_deg" in ph else gamma
-                target = MPF(g)
-            elif key == "semiflat":
-                target = SemiFlat()
-            elif key == "out":
-                target = OutputAngle(math.radians(float(ph["angle_deg"])))
-            else:
-                raise SpecError(f"unknown schedule target {ph['target']!r}")
+            g = math.radians(float(ph["gamma_deg"])) if "gamma_deg" in ph else gamma
+            target = _phase_target(str(ph["target"]), g, ph.get("angle_deg"))
             phases.append(Phase(unit, target, int(ph.get("steps", _DEFAULT_STEPS))))
         if not phases:
             raise SpecError("schedule has no phases")

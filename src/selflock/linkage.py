@@ -285,44 +285,22 @@ def mpf_theta1(alpha: float, gamma: float, config: Configuration) -> float:
     return theta1_of_theta4(alpha, config.sign * gamma, config)
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def semi_flat_theta1(alpha: float, config: Configuration) -> float:
     """theta1 of the semi-flat state, the reachable state closest to flat.
 
     Minimizes the total deviation |theta1| + |theta2| + |theta3| + |theta4|
-    over theta1 in (0, pi). A 0.1 degree coarse scan brackets the minimum
-    and golden-section search refines it well below 1e-6 rad. The two
-    branches share the same magnitude, so the result is branch independent.
+    over theta1 in (0, pi). With u = theta1 / 2 and c = cos(alpha), the Up
+    branch has theta3 = 2 acos(sin(alpha) cos u), and setting the derivative
+    of the total to zero gives the exact minimizer
+
+        theta1 = 2 asin(tan(alpha / 2) * sqrt(c / (2 - c))).
+
+    The two branches share the same magnitude, so the result is branch
+    independent.
     """
     _check_alpha(alpha)
-
-    def total(t: float) -> float:
-        t4 = theta4_of_theta1(alpha, t, Configuration.UP)
-        t3 = theta3_of_theta1(alpha, t, Configuration.UP)
-        return abs(t) + 2.0 * abs(t4) + abs(t3)
-
-    grid = np.radians(np.arange(0.1, 179.95, 0.1))
-    coarse = [total(t) for t in grid]
-    i = int(np.argmin(coarse))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    return _golden_min(total, float(lo), float(hi))
+    c = math.cos(alpha)
+    return 2.0 * math.asin(math.tan(0.5 * alpha) * math.sqrt(c / (2.0 - c)))
 
 
 def sweep(

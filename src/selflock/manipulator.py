@@ -133,10 +133,6 @@ class Base:
     slab_center: tuple = (0.0, 0.0, 0.0)
 
 
-# A connection is one of Weld, BoundingPlate, or Base.
-Connection = (Weld, BoundingPlate, Base)
-
-
 @dataclass(frozen=True, eq=False)
 class ManipulatorSpec:
     """Buildable description: units, their connections, and the marker corner.

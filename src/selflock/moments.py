@@ -57,6 +57,21 @@ class MomentCurveRow:
     M_output: float
 
 
+def moment_row(
+    geom: PouchGeometry,
+    cond: ActuatorConditions,
+    alpha: float,
+    theta1: float,
+    config: Configuration,
+) -> MomentCurveRow:
+    """One moment curve row at theta1; M_output is exactly MA * M_input."""
+    mi = input_moment(geom, cond, theta1)
+    ma = mechanical_advantage(alpha, theta1, config)
+    return MomentCurveRow(
+        theta1=theta1, S=central_angle(theta1), M_input=mi, MA=ma, M_output=ma * mi
+    )
+
+
 def moment_curve(
     alpha: float,
     config: Configuration,
@@ -75,18 +90,7 @@ def moment_curve(
         raise DomainError(f"steps = {steps!r}, need at least 2")
     if not theta1_min < theta1_max:
         raise DomainError("theta1_min must be strictly below theta1_max")
-    rows = []
-    for t in np.linspace(theta1_min, theta1_max, steps):
-        t = float(t)
-        mi = input_moment(geom, cond, t)
-        ma = mechanical_advantage(alpha, t, config)
-        rows.append(
-            MomentCurveRow(
-                theta1=t,
-                S=central_angle(t),
-                M_input=mi,
-                MA=ma,
-                M_output=ma * mi,
-            )
-        )
-    return rows
+    return [
+        moment_row(geom, cond, alpha, float(t), config)
+        for t in np.linspace(theta1_min, theta1_max, steps)
+    ]

@@ -68,17 +68,11 @@ def pouch_geometry(m: float, alpha: float) -> PouchGeometry:
     return PouchGeometry(m=m, alpha=alpha, L1=L1, n=n, Lp=Lp, D=D, L0=2.0 * Lp)
 
 
-def chord_length(theta1: float, L0: float, unreduced: bool = False) -> float:
+def chord_length(theta1: float, L0: float) -> float:
     """Chord of the inflated pouch across the fold at input angle theta1.
 
-    The chord closes with the fold as L0 * cos(theta1 / 2). With
-    unreduced=True the double-angle expression L0 * sqrt(2 * (1 + cos
-    theta1)) is evaluated instead; algebraically that form carries an extra
-    factor of 2 over the reduced chord and is kept only for comparison
-    against hand derivations.
+    The chord closes with the fold as L0 * cos(theta1 / 2).
     """
-    if unreduced:
-        return L0 * math.sqrt(2.0 * (1.0 + math.cos(theta1)))
     return L0 * math.cos(0.5 * theta1)
 
 

@@ -244,14 +244,15 @@ def test_mpf_state_reaches_gamma():
 
 
 def test_semi_flat_frozen_values():
+    # Exact minimizers, checked against a 40-digit stationary point.
     assert math.degrees(semi_flat_theta1(math.radians(89), UP)) == pytest.approx(
-        10.580482495782952, abs=1e-6
+        10.580482529851477, abs=1e-9
     )
     assert math.degrees(semi_flat_theta1(math.radians(85), UP)) == pytest.approx(
-        22.55912148294543, abs=1e-6
+        22.559121067332322, abs=1e-9
     )
     assert math.degrees(semi_flat_theta1(math.radians(80), UP)) == pytest.approx(
-        29.990117792003048, abs=1e-6
+        29.990117353533132, abs=1e-9
     )
 
 
@@ -262,16 +263,28 @@ def test_semi_flat_branch_independent():
         assert tu == pytest.approx(td, abs=1e-9)
 
 
-def test_semi_flat_is_a_local_minimum():
-    alpha = math.radians(85)
+_SCAN = np.radians(np.arange(0.1, 179.95, 0.1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(45.0, 90.0, exclude_min=True, exclude_max=True))
+def test_semi_flat_is_a_local_minimum(alpha_deg):
+    alpha = math.radians(alpha_deg)
+    c, s = math.cos(alpha), math.sin(alpha)
 
     def total(t):
-        s = joint_state(alpha, t, UP)
-        return abs(s.theta1) + abs(s.theta2) + abs(s.theta3) + abs(s.theta4)
+        js = joint_state(alpha, t, UP)
+        return abs(js.theta1) + abs(js.theta2) + abs(js.theta3) + abs(js.theta4)
 
     t0 = semi_flat_theta1(alpha, UP)
-    assert total(t0) < total(t0 + 1e-3)
-    assert total(t0) < total(t0 - 1e-3)
+    assert 0.0 < t0 < math.pi
+    # d(total)/d(theta1) = 1 - c/D + s sin(u)/sqrt(D), u = theta1/2, with
+    # D = 1 - s^2 cos(u)^2 written as c^2 + s^2 sin(u)^2, which stays
+    # accurate near 90 degrees where D is tiny.
+    su = s * math.sin(0.5 * t0)
+    d = c * c + su * su
+    assert abs(1.0 - c / d + su / math.sqrt(d)) < 1e-12
+    assert total(t0) <= min(total(float(t)) for t in _SCAN) + 1e-12
 
 
 def test_sweep_table():

@@ -55,17 +55,12 @@ def test_geometry_positive_and_consistent(m, a):
     assert g.L1 + g.Lp * math.sin(math.radians(a)) == pytest.approx(m, rel=1e-12)
 
 
-def test_chord_reduced_and_unreduced():
+def test_chord_reduced():
     L0 = 49.13473021098966
     assert chord_length(math.radians(90), L0) == pytest.approx(
         L0 * math.cos(math.radians(45)), abs=1e-12
     )
     assert chord_length(0.0, L0) == L0
-    for t in (0.1, 0.8, 1.5, 2.9):
-        reduced = chord_length(t, L0)
-        assert chord_length(t, L0, unreduced=True) == pytest.approx(
-            2.0 * reduced, rel=1e-12
-        )
 
 
 def test_central_angle_values():
