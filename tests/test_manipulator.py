@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selflock import (
     ActivationSchedule,
@@ -32,6 +34,9 @@ from selflock import (
     translational_link_lengths,
     workspace_projection,
 )
+from selflock.geometry import pad_polygons
+from selflock.linkage import mpf_theta1
+from selflock.manipulator import _collides, _node_rows
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -273,6 +278,51 @@ def test_modular_run_collision_stop():
     )
     wider = run(manip, _mpf_schedule(4), collision_clearance=0.5)
     assert wider.meta["phase_committed_steps"] == [60, 60, 60, 40]
+
+
+def test_modular_committed_steps_pinned():
+    # Committed steps of the modular chain at alpha 89 deg, recorded before
+    # the collision step gained its broad phase.
+    expect = {
+        (4, 20): [20, 20, 20, 14],
+        (8, 10): [10] * 8,
+        (16, 4): [4] * 12 + [3, 0, 1, 4],
+    }
+    for (n, steps), committed in expect.items():
+        manip = build(preset_modular(tuple(_unit() for _ in range(n))))
+        traj = run(manip, _mpf_schedule(n, steps))
+        assert traj.meta["phase_committed_steps"] == committed
+        assert len(traj.frames) == 1 + sum(committed)
+
+
+@st.composite
+def _chain_state(draw):
+    n = draw(st.integers(2, 4))
+    alphas = [draw(st.floats(80.0, 89.9)) for _ in range(n)]
+    fracs = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    clearance = draw(st.sampled_from((0.1, 1.0, 3.0)))
+    return alphas, fracs, clearance
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_state())
+def test_broad_phase_decision_matches_full_kernel(state):
+    alphas, fracs, clearance = state
+    manip = build(preset_modular(tuple(_unit(a) for a in alphas)))
+    start = manip.semi_flat_thetas()
+    world0 = manip.world_vertices(start)
+    watched = [
+        p for p, m in zip(manip.pairs, pair_margins(world0, manip.pairs)) if m > clearance
+    ]
+    thetas = [
+        s + f * (mpf_theta1(u.alpha, GAMMA, u.config) - s)
+        for s, f, u in zip(start, fracs, manip.units)
+    ]
+    world = manip.world_vertices(thetas)
+    I, J = _node_rows(world, watched)
+    P = pad_polygons(list(world.values()))
+    expect = bool((pair_margins(world, watched) <= clearance).any())
+    assert _collides(P, I, J, clearance) == expect
 
 
 def test_run_empty_schedule():
