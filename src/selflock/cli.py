@@ -10,6 +10,7 @@ invalid manipulator spec file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -335,6 +336,11 @@ def _render_svg(projections) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _reject_constant(token: str):
+    # json.loads accepts NaN, Infinity and -Infinity; a spec must not.
+    raise SpecError(f"non-finite number {token} in spec file")
+
+
 def cmd_manip(args) -> int:
     gamma = math.radians(args.gamma_deg)
     extra_meta = {}
@@ -342,7 +348,9 @@ def cmd_manip(args) -> int:
 
     if args.spec:
         try:
-            data = json.loads(Path(args.spec).read_text())
+            data = json.loads(
+                Path(args.spec).read_text(), parse_constant=_reject_constant
+            )
             spec = ManipulatorSpec.from_json_dict(data)
             manip = build(spec)
             if "schedule" in data:
@@ -422,7 +430,11 @@ def cmd_manip(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and shared by every main() in the process: a build
+    # costs several parses. Safe because parse_args returns a fresh
+    # namespace per call and no default is mutable.
     parser = argparse.ArgumentParser(
         prog="selflock",
         description="Simulate self-locking origami joints and manipulators.",

@@ -85,7 +85,8 @@ class Pose:
             d * g + e * h + f * i,
         )
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if max(map(abs, gram)) > 1e-9 or det < 0.0:
+        # Written so that a NaN entry, which fails every comparison, fails it.
+        if not (max(map(abs, gram)) <= 1e-9 and det >= 0.0):
             raise ValueError("pose rotation must be orthonormal with det +1")
 
     @property

@@ -235,39 +235,29 @@ def oracle_roots(angles: CentralAngles, theta1: float, samples: int = 3600) -> l
         samples = 3600
     grid = -math.pi + 2.0 * math.pi * np.arange(1, samples + 1) / samples
     vals = closure_residual(angles, theta1, grid)
-
-    def at(w: float) -> float:
-        # Evaluate on the circle: points past +pi fold back into (-pi, pi].
-        if w > math.pi:
-            w -= 2.0 * math.pi
-        return closure_residual(angles, theta1, w)
-
-    roots = []
-    for k in range(samples):
-        if vals[k] == 0.0:
-            roots.append(float(grid[k]))
-    cells = [(float(grid[k]), float(grid[k + 1]), vals[k], vals[k + 1])
-             for k in range(samples - 1)]
-    cells.append((float(grid[-1]), float(grid[0]) + 2.0 * math.pi, vals[-1], vals[0]))
-    for a, b, fa, fb in cells:
-        if fa * fb < 0.0:
-            while b - a > 1e-12:
-                mid = 0.5 * (a + b)
-                fm = at(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            root = 0.5 * (a + b)
-            if root > math.pi:
-                root -= 2.0 * math.pi
-            roots.append(root)
-    roots.sort()
+    # Cell k runs from grid[k] to grid[k + 1]; the last one closes the
+    # circle, running past +pi to grid[0] + 2 pi.
+    ends = np.append(grid[1:], grid[0] + 2.0 * math.pi)
+    cross = np.flatnonzero(vals * np.roll(vals, -1) < 0.0)
+    a, b, fa = grid[cross], ends[cross], vals[cross]
+    # Halve every bracket at once. A midpoint with a zero residual collapses
+    # its bracket (a = b), which also takes it out of the live set.
+    while True:
+        live = np.flatnonzero(b - a > 1e-12)
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        fm = closure_residual(
+            angles, theta1, np.where(mid > math.pi, mid - 2.0 * math.pi, mid)
+        )
+        left = fa[live] * fm < 0.0
+        b[live] = np.where(left | (fm == 0.0), mid, b[live])
+        a[live] = np.where(left, a[live], mid)
+        fa[live] = np.where(left, fa[live], fm)
+    found = 0.5 * (a + b)
+    found = np.where(found > math.pi, found - 2.0 * math.pi, found)
     dedup = []
-    for r in roots:
+    for r in np.sort(np.concatenate((grid[vals == 0.0], found))).tolist():
         if not dedup or r - dedup[-1] > 1e-10:
             dedup.append(r)
     return dedup

@@ -777,8 +777,13 @@ def run(
     example the fold neighbours of a welded plate pair) and stay exempt
     for the run. An empty schedule yields the single initial frame.
     """
-    if collision_clearance < 0.0:
-        raise DomainError("collision clearance must be nonnegative")
+    # A NaN or infinite clearance would leave no pair watched, so no step
+    # would ever be checked; the comparison below also rejects NaN.
+    if not 0.0 <= collision_clearance < math.inf:
+        raise DomainError(
+            f"collision clearance = {collision_clearance!r} must be finite "
+            "and nonnegative"
+        )
     units = manipulator.units
     for ph in schedule.phases:
         if not 0 <= ph.unit < len(units):

@@ -44,8 +44,10 @@ class ActuatorConditions:
     pressure: float
 
     def __post_init__(self):
-        if self.pressure < 0.0:
-            raise DomainError(f"pressure = {self.pressure!r} must be nonnegative")
+        if not 0.0 <= self.pressure < math.inf:
+            raise DomainError(
+                f"pressure = {self.pressure!r} must be finite and nonnegative"
+            )
 
 
 def pouch_geometry(m: float, alpha: float) -> PouchGeometry:
@@ -54,8 +56,8 @@ def pouch_geometry(m: float, alpha: float) -> PouchGeometry:
     Valid for alpha strictly between 45 and 90 degrees; at 45 degrees the
     cut consumes the whole plate and the pouch side Lp reaches zero.
     """
-    if m <= 0.0:
-        raise DomainError(f"m = {m!r} must be positive")
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"m = {m!r} must be finite and positive")
     if not math.pi / 4 < alpha < math.pi / 2:
         raise DomainError(
             f"pouch construction needs alpha in (45, 90) degrees, got "

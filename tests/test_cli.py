@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from selflock.cli import main
+from selflock.cli import _build_parser, main
 
 
 def test_sweep_csv_zero_row(capsys):
@@ -271,8 +271,60 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
     bad.write_text(json.dumps({"units": []}))
     assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
+
+    # json.dumps writes the NaN and Infinity tokens that json.loads accepts.
+    from selflock import preset_rotational
+
+    data = preset_rotational(math.radians(89), math.radians(89)).to_json_dict()
+    data["connections"][0]["pose"]["r"][0][0] = math.nan
+    bad.write_text(json.dumps(data))
+    assert "NaN" in bad.read_text()
+    assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
+    data = preset_rotational(math.radians(89), math.radians(89)).to_json_dict()
+    data["units"][0]["m_mm"] = math.inf
+    bad.write_text(json.dumps(data))
+    assert '"m_mm": Infinity' in bad.read_text()
+    assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
     assert not out.exists()
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("non-finite number") == 2
+
+
+def test_non_finite_numbers_exit3(capsys):
+    for bad in ("nan", "inf"):
+        assert main(["manip", "rotational", "--clearance-mm", bad]) == 3
+    assert main(["moment", "--alpha-deg", "80", "--pressure-pa", "nan"]) == 3
+    assert main(["moment", "--alpha-deg", "80", "--pressure-pa", "inf"]) == 3
+    assert main(["moment", "--alpha-deg", "80", "--m-mm", "inf"]) == 3
+    assert main(["moment", "--alpha-deg", "80", "--m-mm", "nan"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("error:") == 6
+
+
+def test_parser_reused_across_calls(capsys):
+    assert _build_parser() is _build_parser()
+    sweep = ["sweep", "--alpha-deg", "80", "--min-deg", "-40", "--max-deg", "40",
+             "--steps", "9"]
+    assert main(sweep) == 0
+    first = capsys.readouterr().out
+    assert main(sweep + ["--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: selflock")
+    assert main(["moment", "--alpha-deg", "85", "--min-deg", "-30",
+                 "--max-deg", "30", "--steps", "3", "--format", "json",
+                 "--pressure-pa", "20000"]) == 0
+    assert json.loads(capsys.readouterr().out)["pressure_pa"] == 20000.0
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == first
+    # Each parse gets its own namespace: nothing of the moment call remains.
+    args = _build_parser().parse_args(sweep)
+    assert args is not _build_parser().parse_args(sweep)
+    assert not hasattr(args, "pressure_pa")
+    assert args.format == "csv" and args.out is None
 
 
 def test_outputs_deterministic(capsys):

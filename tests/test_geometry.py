@@ -41,6 +41,16 @@ def test_pose_validation():
         Pose(2.0 * np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="orthonormal"):
+        Pose(np.full((3, 3), np.nan), np.zeros(3))
+    # One bad entry, placed after the Gram terms that stay finite.
+    r = np.eye(3)
+    r[2, 2] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        Pose(r, np.zeros(3))
+    r[2, 2] = np.inf
+    with pytest.raises(ValueError, match="orthonormal"):
+        Pose(r, np.zeros(3))
 
 
 def test_pose_check_matches_numpy():

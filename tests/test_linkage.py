@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selflock import (
@@ -168,6 +168,68 @@ def test_oracle_roots_across_pi_seam():
         min(abs(closed - r), 2 * math.pi - abs(closed - r)) for r in roots
     )
     assert best < 1e-8
+
+
+def _bisect_each_bracket(angles, theta1, samples=3600):
+    """Reference oracle: scan the circle, then bisect each bracket on its own.
+
+    A scalar loop per bracket, kept independent of oracle_roots: the same
+    grid, seam cell, stop rule and collapse on an exact zero.
+    """
+    grid = [-math.pi + 2.0 * math.pi * k / samples for k in range(1, samples + 1)]
+    vals = closure_residual(angles, theta1, np.array(grid)).tolist()
+    roots = [g for g, v in zip(grid, vals) if v == 0.0]
+    for k in range(samples):
+        a, fa, fb = grid[k], vals[k], vals[(k + 1) % samples]
+        b = grid[k + 1] if k + 1 < samples else grid[0] + 2.0 * math.pi
+        if not fa * fb < 0.0:
+            continue
+        while b - a > 1e-12:
+            mid = 0.5 * (a + b)
+            fm = closure_residual(
+                angles, theta1, mid - 2.0 * math.pi if mid > math.pi else mid
+            )
+            if fm == 0.0:
+                a = b = mid
+            elif fa * fm < 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        root = 0.5 * (a + b)
+        roots.append(root - 2.0 * math.pi if root > math.pi else root)
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-10:
+            out.append(r)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.floats(min_value=46.0, max_value=89.5),
+    t1=st.one_of(
+        st.floats(min_value=-179.0, max_value=179.0),
+        st.floats(min_value=177.0, max_value=179.0),
+        st.floats(min_value=-179.0, max_value=-177.0),
+    ),
+    quad=st.booleans(),
+)
+@example(a=89.0, t1=-178.0, quad=False)
+@example(a=89.0, t1=179.0, quad=False)
+@example(a=80.0, t1=0.0, quad=False)
+@example(a=60.0, t1=40.0, quad=True)
+def test_oracle_roots_match_per_bracket_bisection(a, t1, quad):
+    # quad swaps in the generic all-60-degree vertex; a is then unused.
+    if quad:
+        ang = CentralAngles(*[math.radians(60)] * 4)
+    else:
+        ang = CentralAngles.self_lock(math.radians(a))
+    roots = oracle_roots(ang, math.radians(t1))
+    expect = _bisect_each_bracket(ang, math.radians(t1))
+    assert len(roots) == len(expect)
+    assert all(type(r) is float for r in roots)
+    for r, e in zip(roots, expect):
+        assert abs(r - e) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

@@ -341,8 +341,10 @@ def test_run_validation():
         run(manip, ActivationSchedule((Phase(5, MPF(GAMMA), 3),), Mode.SEQUENTIAL))
     with pytest.raises(SpecError):
         run(manip, ActivationSchedule((Phase(0, MPF(GAMMA), 0),), Mode.SEQUENTIAL))
-    with pytest.raises(DomainError):
-        run(manip, _mpf_schedule(2, steps=3), collision_clearance=-0.5)
+    # With NaN or +inf no pair would be watched and no step checked.
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            run(manip, _mpf_schedule(2, steps=3), collision_clearance=bad)
     with pytest.raises(SpecError):
         run(manip, ActivationSchedule((Phase(0, "bogus", 3),), Mode.SEQUENTIAL))
 

@@ -35,8 +35,9 @@ def test_geometry_frozen_at_80():
 
 
 def test_geometry_validation():
-    with pytest.raises(DomainError):
-        pouch_geometry(0.0, math.radians(80))
+    for m in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite and positive"):
+            pouch_geometry(m, math.radians(80))
     with pytest.raises(DomainError):
         pouch_geometry(25.0, math.radians(45))
     with pytest.raises(DomainError):
@@ -146,5 +147,6 @@ def test_input_moment_domain():
         input_moment(g, c, math.pi / 2 + 1e-6)
     with pytest.raises(DomainError):
         input_moment(g, c, -math.pi / 2 - 1e-6)
-    with pytest.raises(DomainError):
-        ActuatorConditions(-1.0)
+    for p in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            ActuatorConditions(p)
