@@ -69,7 +69,10 @@ def _deg_grid(min_deg: float, max_deg: float, steps: int) -> np.ndarray:
         raise DomainError("min-deg must be strictly below max-deg")
     if min_deg <= -180.0 or max_deg >= 180.0:
         raise DomainError("grid must stay inside (-180, 180) degrees")
-    return np.linspace(min_deg, max_deg, steps)
+    try:
+        return np.linspace(min_deg, max_deg, steps)
+    except MemoryError as exc:
+        raise DomainError(f"--steps {steps} needs more memory than is available") from exc
 
 
 def _write_table(args, columns, rows, meta: dict) -> None:

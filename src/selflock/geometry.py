@@ -9,11 +9,13 @@ of the closed-form kinematics. A separating-axis test on the placed plate
 polygons provides the collision predicate used by manipulator runs.
 
 Down-configuration units are the mirror of Up through z = 0, so their pose
-sets are the Up sets conjugated by diag(1, 1, -1).
+sets are the Up sets conjugated by diag(1, 1, -1): the z row and column of
+each rotation change sign.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +23,21 @@ import numpy as np
 
 from .linkage import CentralAngles, Configuration, DomainError, JointState, joint_state
 
-YHAT = np.array([0.0, 1.0, 0.0])
-ZHAT = np.array([0.0, 0.0, 1.0])
-_MIR = np.diag([1.0, 1.0, -1.0])
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array shared between callers read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
+# unit_poses hands YHAT to every caller as the u41 fold axis.
+YHAT = _read_only(np.array([0.0, 1.0, 0.0]))
+ZHAT = _read_only(np.array([0.0, 0.0, 1.0]))
+_EYE = _read_only(np.eye(3))
+# diag(1, 1, -1) R diag(1, 1, -1), entry by entry.
+_MIRROR_SIGNS = _read_only(
+    np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+)
 
 
 def _e(phi: float) -> np.ndarray:
@@ -31,13 +45,23 @@ def _e(phi: float) -> np.ndarray:
     return np.array([math.cos(phi), math.sin(phi), 0.0])
 
 
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rotation matrix about an arbitrary axis (Rodrigues form)."""
+def _unit_axis(axis) -> tuple:
+    """The components of axis / |axis| as floats; a zero axis is rejected."""
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
     if n < 1e-12:
         raise DomainError("rotation axis must be nonzero")
-    x, y, z = axis / n
+    return tuple((axis / n).tolist())
+
+
+def rotation_about(axis, angle: float) -> np.ndarray:
+    """Rotation matrix about an arbitrary axis (Rodrigues form)."""
+    return _rodrigues(_unit_axis(axis), angle)
+
+
+def _rodrigues(unit_axis: tuple, angle: float) -> np.ndarray:
+    """Rotation by angle about a unit axis given as three floats."""
+    x, y, z = unit_axis
     c, s = math.cos(angle), math.sin(angle)
     C = 1.0 - c
     return np.array(
@@ -66,7 +90,10 @@ class Pose:
         t = np.asarray(t, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector")
-        object.__setattr__(self, "rt", np.concatenate((r, t[None])))
+        rt = np.empty((4, 3))
+        rt[:3] = r
+        rt[3] = t
+        object.__setattr__(self, "rt", rt)
         # Validation stays in the dataclass hook; a custom __init__ has to
         # call it, and does so on every construction.
         self.__post_init__()
@@ -107,8 +134,9 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """This pose applied after `other` (self o other)."""
-        r = self.r
-        return Pose(r @ other.r, r @ other.t + self.t)
+        rt, ort = self.rt, other.rt
+        r = rt[:3]
+        return Pose(r @ ort[:3], r @ ort[3] + rt[3])
 
     def inverse(self) -> "Pose":
         rinv = self.r.T
@@ -143,8 +171,8 @@ def plate_meshes(alpha: float, m: float):
     grounded plate's u41 edge.
     """
     CentralAngles.self_lock(alpha)
-    if m <= 0.0:
-        raise DomainError(f"m = {m!r} must be positive")
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"m = {m!r} must be finite and positive")
     a = alpha
     cs = m / math.sin(a)
     r2 = m * math.sqrt(2.0)
@@ -208,6 +236,25 @@ class UnitPoseSet:
     m: float
 
 
+@functools.lru_cache(maxsize=128)
+def _unit_constants(alpha: float) -> tuple:
+    """What unit_poses needs of alpha alone, validated and computed once.
+
+    Returns the local fold directions u12, u23 and u34, their components
+    as rotation_about normalizes them, and the fixed rotation that moves
+    plate 4 from its chain-side layout to the ground-aligned one. Every
+    caller shares these arrays, so they are read-only. An invalid alpha
+    raises here, and lru_cache keeps no entry for a call that raised.
+    """
+    CentralAngles.self_lock(alpha)
+    dirs = tuple(
+        _read_only(_e(phi))
+        for phi in (math.pi / 2 - alpha, math.pi / 2 - 2 * alpha, -2 * alpha)
+    )
+    relayout = _read_only(rotation_about(ZHAT, -2 * alpha - math.pi))
+    return dirs, tuple(_unit_axis(d) for d in dirs), relayout
+
+
 def unit_poses(
     alpha: float, theta1: float, config: Configuration, m: float = 25.0
 ) -> UnitPoseSet:
@@ -217,29 +264,27 @@ def unit_poses(
     about u23 and theta3 about u34, each axis carried along by the chain.
     Plate 4's returned pose is expressed over its ground-aligned local
     layout (the one spanning u41 = +y), so at any valid state it equals a
-    pure rotation about u41 by the signed theta4.
+    pure rotation about u41 by the signed theta4. The fold axes u12 and
+    u41 are shared read-only arrays.
     """
-    CentralAngles.self_lock(alpha)
+    (u12, u23l, u34l), (k12, k23, k34), relayout = _unit_constants(alpha)
     st = joint_state(alpha, theta1, config)
     sgn = config.sign
     t2u = sgn * st.theta2
     t3u = sgn * st.theta3
-    a = alpha
-    u12 = _e(math.pi / 2 - a)
-    u23l = _e(math.pi / 2 - 2 * a)
-    u34l = _e(-2 * a)
-    R1 = np.eye(3)
-    R2 = rotation_about(u12, -theta1)
-    R3 = R2 @ rotation_about(u23l, -t2u)
-    R4c = R3 @ rotation_about(u34l, -t3u)
-    # Change plate 4 from its chain-side layout to the ground-aligned one.
-    R4 = R4c @ rotation_about(ZHAT, -2 * a - math.pi)
-    rots = [R1, R2, R3, R4]
+    R2 = _rodrigues(k12, -theta1)
+    R3 = R2 @ _rodrigues(k23, -t2u)
+    R4 = R3 @ _rodrigues(k34, -t3u) @ relayout
+    rots = [R2, R3, R4]
     if config is Configuration.DOWN:
-        rots = [_MIR @ R @ _MIR for R in rots]
+        # At theta1 = 0 some entries are +0.0, and a sign flip makes them
+        # -0.0 where diag(1, 1, -1) @ R @ diag(1, 1, -1) gives +0.0; adding
+        # +0.0 keeps the product's bytes. Plate 1's identity is its own
+        # mirror.
+        rots = [R * _MIRROR_SIGNS + 0.0 for R in rots]
     zero = np.zeros(3)
-    poses = tuple(Pose(R, zero) for R in rots)
-    axes = (u12, poses[1].r @ u23l, poses[2].r @ u34l, YHAT.copy())
+    poses = tuple(Pose(R, zero) for R in (_EYE, *rots))
+    axes = (u12, poses[1].r @ u23l, poses[2].r @ u34l, YHAT)
     return UnitPoseSet(poses, axes, st, m)
 
 
@@ -305,6 +350,17 @@ def pad_polygons(polys) -> np.ndarray:
     )
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, with the products and differences of np.cross.
+
+    Skips np.cross's axis handling and copies, which dominate its cost on
+    the small stacks of the collision step; the result is bit-identical.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def _unit_rows(axes: np.ndarray) -> tuple:
     """Normalize candidate axes along the last dimension; mask degenerate ones."""
     norms = np.sqrt((axes * axes).sum(axis=-1))
@@ -320,9 +376,9 @@ def plate_axes(P: np.ndarray) -> tuple:
     axes of zero-length (padding) edges; edges is the (n, v, 3) edge stack.
     """
     edges = np.roll(P, -1, axis=1) - P
-    normal = np.cross(edges[:, 0], edges[:, 1])
+    normal = _cross(edges[:, 0], edges[:, 1])
     axes, keep = _unit_rows(
-        np.concatenate([normal[:, None, :], np.cross(normal[:, None, :], edges)], axis=1)
+        np.concatenate([normal[:, None, :], _cross(normal[:, None, :], edges)], axis=1)
     )
     return axes, keep, edges
 
@@ -353,7 +409,7 @@ def polygon_margins_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     axB, keepB, eB = plate_axes(B)
     npairs = A.shape[0]
     cross, keepC = _unit_rows(
-        np.cross(eA[:, :, None, :], eB[:, None, :, :]).reshape(npairs, -1, 3)
+        _cross(eA[:, :, None, :], eB[:, None, :, :]).reshape(npairs, -1, 3)
     )
     axes = np.concatenate([axA[:, :1], axB[:, :1], axA[:, 1:], cross, axB[:, 1:]], axis=1)
     keep = np.concatenate(

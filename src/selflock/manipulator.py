@@ -70,12 +70,14 @@ class UnitSpec:
 
     def __post_init__(self):
         CentralAngles.self_lock(self.alpha)
-        if self.m <= 0.0:
-            raise DomainError(f"m = {self.m!r} must be positive")
+        if not 0.0 < self.m < math.inf:
+            raise DomainError(f"m = {self.m!r} must be finite and positive")
         if self.plate_m is not None:
             pm = tuple(float(v) for v in self.plate_m)
-            if len(pm) != 4 or any(v <= 0.0 for v in pm):
-                raise DomainError("plate_m needs four positive lengths")
+            if len(pm) != 4 or not all(0.0 < v < math.inf for v in pm):
+                raise DomainError(
+                    f"plate_m = {self.plate_m!r} needs four finite positive lengths"
+                )
             object.__setattr__(self, "plate_m", pm)
 
     @property
@@ -600,8 +602,8 @@ def preset_translational(alpha: float, gamma: float, d: float) -> ManipulatorSpe
         raise DomainError(
             f"gamma = {gamma!r} outside (0, pi/2); the zigzag degenerates"
         )
-    if d <= 0.0:
-        raise DomainError(f"d = {d!r} must be positive")
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"d = {d!r} must be finite and positive")
     m = M_DEFAULT
     fan = 0.5 * m
     f = d / math.tan(gamma)
@@ -632,8 +634,8 @@ def translational_link_lengths(gamma: float, d: float) -> tuple:
     """The zigzag plate lengths (f, q) for rise d at wall angle gamma."""
     if not 0.0 < gamma < math.pi / 2:
         raise DomainError(f"gamma = {gamma!r} outside (0, pi/2)")
-    if d <= 0.0:
-        raise DomainError(f"d = {d!r} must be positive")
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"d = {d!r} must be finite and positive")
     return d / math.tan(gamma), d / math.cos(gamma)
 
 
@@ -650,8 +652,10 @@ def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> Manipulator
     n = len(units)
     if n == 0:
         raise SpecError("modular preset needs at least one unit")
-    if bounding_plate_side <= 0.0:
-        raise DomainError("bounding plate side must be positive")
+    if not 0.0 < bounding_plate_side < math.inf:
+        raise DomainError(
+            f"bounding_plate_side = {bounding_plate_side!r} must be finite and positive"
+        )
     s = bounding_plate_side
     ndist = (n + 1) // 2
 
@@ -805,6 +809,8 @@ def run(
         P = pad_polygons(list(manipulator.world_vertices(cand).values()))
         return _collides(P, wi, wj, collision_clearance)
 
+    frames = []
+
     def make_frame(t: float) -> Frame:
         poses = None
         if include_poses:
@@ -814,9 +820,17 @@ def run(
                 for i in range(len(units))
                 for k in range(4)
             )
+            if frames:
+                # A plate that has not moved since the last frame keeps that
+                # frame's Pose, so a long run holds one object per resting
+                # plate instead of one per frame.
+                poses = tuple(
+                    old if old.rt.tobytes() == new.rt.tobytes() else new
+                    for new, old in zip(poses, frames[-1].poses)
+                )
         return Frame(t, tuple(thetas), manipulator.marker_world(thetas), poses)
 
-    frames = [make_frame(0.0)]
+    frames.append(make_frame(0.0))
     committed = []
     requested = [ph.steps for ph in schedule.phases]
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from selflock import cli
 from selflock.cli import _build_parser, main
 
 
@@ -298,10 +299,29 @@ def test_non_finite_numbers_exit3(capsys):
     assert main(["moment", "--alpha-deg", "80", "--pressure-pa", "inf"]) == 3
     assert main(["moment", "--alpha-deg", "80", "--m-mm", "inf"]) == 3
     assert main(["moment", "--alpha-deg", "80", "--m-mm", "nan"]) == 3
+    for bad in ("nan", "inf"):
+        assert main(["manip", "translational", "--d-mm", bad]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert captured.err.count("error:") == 6
+    assert captured.err.count("error:") == 8
+    assert captured.err.count("error: d = ") == 2
+
+
+def test_grid_out_of_memory_exit3(monkeypatch, capsys):
+    # A grid too large to allocate: np.linspace raises MemoryError, which
+    # the CLI reports as a bad --steps. Simulated, not allocated.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli.np, "linspace", no_memory)
+    huge = ["--min-deg", "-10", "--max-deg", "10", "--steps", "100000000000"]
+    assert main(["sweep", "--alpha-deg", "80"] + huge) == 3
+    assert main(["moment", "--alpha-deg", "80"] + huge) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("error: --steps 100000000000") == 2
 
 
 def test_parser_reused_across_calls(capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selflock import (
@@ -26,6 +26,7 @@ from selflock import (
     unit_poses,
 )
 from selflock.geometry import pad_polygons, plate_axis_bounds
+from selflock.linkage import joint_state
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -138,8 +139,9 @@ def test_plate_meshes_structure():
 def test_plate_meshes_validation():
     with pytest.raises(DomainError):
         plate_meshes(math.radians(40), 25.0)
-    with pytest.raises(DomainError):
-        plate_meshes(math.radians(80), -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^m = "):
+            plate_meshes(math.radians(80), bad)
 
 
 def test_trim_corner():
@@ -183,6 +185,60 @@ def test_unit_poses_down_mirrors_up():
     dn = unit_poses(math.radians(80), math.radians(55), DOWN)
     for pu, pd in zip(up.poses, dn.poses):
         assert np.abs(pd.r - mir @ pu.r @ mir).max() < 1e-12
+
+
+def _unit_poses_reference(alpha, theta1, config):
+    """unit_poses written out as four rotation_about calls and a mirror by
+    matrix products: rotations and fold axes."""
+    state = joint_state(alpha, theta1, config)
+    u12, u23l, u34l = (
+        np.array([math.cos(phi), math.sin(phi), 0.0])
+        for phi in (math.pi / 2 - alpha, math.pi / 2 - 2 * alpha, -2 * alpha)
+    )
+    R2 = rotation_about(u12, -theta1)
+    R3 = R2 @ rotation_about(u23l, -(config.sign * state.theta2))
+    R4c = R3 @ rotation_about(u34l, -(config.sign * state.theta3))
+    R4 = R4c @ rotation_about([0.0, 0.0, 1.0], -2 * alpha - math.pi)
+    rots = [np.eye(3), R2, R3, R4]
+    if config is DOWN:
+        mir = np.diag([1.0, 1.0, -1.0])
+        rots = [mir @ R @ mir for R in rots]
+    return rots, (u12, rots[1] @ u23l, rots[2] @ u34l, YHAT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(math.pi / 4, math.pi / 2, exclude_min=True, exclude_max=True),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([UP, DOWN]),
+)
+@example(math.radians(89), 0.0, DOWN)
+@example(math.radians(89), -0.0, DOWN)
+def test_unit_poses_bytes_match_rotation_about_chain(alpha, theta1, config):
+    ps = unit_poses(alpha, theta1, config)
+    rots, axes = _unit_poses_reference(alpha, theta1, config)
+    for pose, R in zip(ps.poses, rots):
+        assert pose.rt.tobytes() == np.vstack([R, np.zeros(3)]).tobytes()
+    for got, want in zip(ps.fold_axes, axes):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_unit_poses_cache_keeps_constants_and_errors():
+    alpha, theta1 = math.radians(83), math.radians(20)
+    first = unit_poses(alpha, theta1, DOWN)
+    want = [ax.tobytes() for ax in first.fold_axes]
+    for ax in first.fold_axes:
+        try:
+            ax *= -2.0
+        except ValueError:  # a read-only array shared between calls
+            pass
+    again = unit_poses(alpha, theta1, DOWN)
+    assert [ax.tobytes() for ax in again.fold_axes] == want
+    # An invalid alpha raises on every call, not only the first.
+    for _ in range(2):
+        for bad in (math.radians(95), math.radians(45), math.nan):
+            with pytest.raises(DomainError, match="alpha"):
+                unit_poses(bad, theta1, UP)
 
 
 def test_loop_closure_error_small_everywhere():

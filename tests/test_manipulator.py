@@ -64,6 +64,11 @@ def test_unit_spec_validation():
         UnitSpec(math.radians(85), UP, 25.0, (1.0, 2.0))
     with pytest.raises(DomainError):
         UnitSpec(math.radians(85), UP, 25.0, (1.0, -2.0, 3.0, 4.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="^m = "):
+            UnitSpec(math.radians(85), UP, bad)
+        with pytest.raises(DomainError, match="^plate_m = "):
+            UnitSpec(math.radians(85), UP, 25.0, (1.0, bad, 3.0, 4.0))
 
 
 def test_spec_json_round_trip():
@@ -174,8 +179,9 @@ def test_preset_modular_small_chains():
     ]
     with pytest.raises(SpecError):
         preset_modular(())
-    with pytest.raises(DomainError):
-        preset_modular((_unit(),), bounding_plate_side=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^bounding_plate_side = "):
+            preset_modular((_unit(),), bounding_plate_side=bad)
 
 
 def test_translational_link_lengths():
@@ -186,15 +192,17 @@ def test_translational_link_lengths():
     assert q == pytest.approx(31.100064233829517, abs=1e-9)
     with pytest.raises(DomainError):
         translational_link_lengths(0.0, 25.0)
-    with pytest.raises(DomainError):
-        translational_link_lengths(GAMMA, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^d = "):
+            translational_link_lengths(GAMMA, bad)
 
 
 def test_preset_translational_validation():
     with pytest.raises(DomainError):
         preset_translational(math.radians(89), math.pi / 2, 25.0)
-    with pytest.raises(DomainError):
-        preset_translational(math.radians(89), GAMMA, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^d = "):
+            preset_translational(math.radians(89), GAMMA, bad)
 
 
 def _mpf_schedule(n, steps=60):
@@ -395,6 +403,26 @@ def test_run_include_poses():
         assert all(isinstance(p, Pose) for p in frame.poses)
     plain = run(manip, _mpf_schedule(2, steps=2))
     assert plain.frames[0].poses is None
+
+
+def test_run_include_poses_shares_resting_plates():
+    manip = build(preset_rotational(math.radians(89), math.radians(89)))
+    traj = run(manip, _mpf_schedule(2, steps=3), include_poses=True)
+    assert traj.meta["phase_committed_steps"] == [3, 3]
+    frames = traj.frames
+    for frame in frames:
+        world, psets, _ = manip._frames(list(frame.theta1s))
+        fresh = [world[u].compose(psets[u].poses[k]) for u in range(2) for k in range(4)]
+        assert [p.rt.tobytes() for p in frame.poses] == [p.rt.tobytes() for p in fresh]
+    for prev, cur in zip(frames, frames[1:]):
+        for p, q in zip(prev.poses, cur.poses):
+            assert (p is q) == (p.rt.tobytes() == q.rt.tobytes())
+    # The grounded plate never moves. While unit 1 folds (frames 3 to 6),
+    # unit 0 and unit 1's welded plate 0 rest; unit 1's plates 1-3 move.
+    assert all(f.poses[0] is frames[0].poses[0] for f in frames)
+    for f in frames[4:]:
+        assert all(f.poses[i] is frames[3].poses[i] for i in range(5))
+        assert not any(f.poses[i] is frames[3].poses[i] for i in range(5, 8))
 
 
 def test_run_meta_contents():
