@@ -52,11 +52,8 @@ from .geometry import (
     marker_position,
     plate_axis_bounds,
     plate_meshes,
-    plates_collide,
-    polygon_margin,
     polygon_margins_batch,
     rotation_about,
-    separation_margin,
     trim_corner,
     unit_poses,
 )
@@ -137,8 +134,6 @@ __all__ = [
     "pair_margins",
     "plate_axis_bounds",
     "plate_meshes",
-    "plates_collide",
-    "polygon_margin",
     "polygon_margins_batch",
     "pouch_geometry",
     "preset_modular",
@@ -147,7 +142,6 @@ __all__ = [
     "rotation_about",
     "run",
     "semi_flat_theta1",
-    "separation_margin",
     "spec_sha256",
     "sweep",
     "theta1_of_theta4",

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .linkage import Configuration, DomainError, joint_state, mpf_theta1, semi_flat_theta1
-from .moments import moment_row
-from .pouch import ActuatorConditions, pouch_geometry
+from .linkage import theta3_of_theta1, theta4_of_theta1
+from .moments import mechanical_advantage
+from .pouch import ActuatorConditions, central_angle, input_moment, pouch_geometry
 from .manipulator import (
     ActivationSchedule,
     ManipulatorSpec,
@@ -93,17 +94,11 @@ def _write_table(args, columns, rows, meta: dict) -> None:
 def cmd_sweep(args) -> int:
     alpha = math.radians(args.alpha_deg)
     config = Configuration(args.config)
-    rows = []
-    for d in _deg_grid(args.min_deg, args.max_deg, args.steps):
-        st = joint_state(alpha, math.radians(d), config)
-        rows.append(
-            (
-                float(d),
-                math.degrees(st.theta2),
-                math.degrees(st.theta3),
-                math.degrees(st.theta4),
-            )
-        )
+    grid = _deg_grid(args.min_deg, args.max_deg, args.steps)
+    theta1 = np.radians(grid)
+    t4 = np.degrees(theta4_of_theta1(alpha, theta1, config))
+    t3 = np.degrees(theta3_of_theta1(alpha, theta1, config))
+    rows = np.column_stack((grid, t4, t3, t4)).tolist()
     meta = {"alpha_deg": _r9(args.alpha_deg), "config": config.value}
     _write_table(args, _SWEEP_COLUMNS, rows, meta)
     return 0
@@ -114,10 +109,11 @@ def cmd_moment(args) -> int:
     config = Configuration(args.config)
     geom = pouch_geometry(args.m_mm, alpha)
     cond = ActuatorConditions(args.pressure_pa)
-    rows = []
-    for d in _deg_grid(args.min_deg, args.max_deg, args.steps):
-        r = moment_row(geom, cond, alpha, math.radians(d), config)
-        rows.append((float(d), r.S, r.M_input, r.MA, r.M_output))
+    grid = _deg_grid(args.min_deg, args.max_deg, args.steps)
+    theta1 = np.radians(grid)
+    mi = input_moment(geom, cond, theta1)
+    ma = mechanical_advantage(alpha, theta1, config)
+    rows = np.column_stack((grid, central_angle(theta1), mi, ma, ma * mi)).tolist()
     meta = {
         "alpha_deg": _r9(args.alpha_deg),
         "config": config.value,
@@ -204,6 +200,8 @@ def _parse_schedule_text(text: str, n: int, gamma: float):
 
 
 def _schedule_from_json(data: dict, n: int, gamma: float) -> ActivationSchedule:
+    if not isinstance(data, dict):
+        raise SpecError(f"schedule must be a JSON object, got {data!r}")
     try:
         mode = Mode(str(data.get("mode", "sequential")).lower())
         phases = []

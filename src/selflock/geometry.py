@@ -383,18 +383,6 @@ def plate_axes(P: np.ndarray) -> tuple:
     return axes, keep, edges
 
 
-def polygon_margin(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest signed separation between two convex planar polygons.
-
-    polygon_margins_batch on the single pair, the shorter polygon padded
-    by repeating its last vertex. Positive means a separating axis with
-    that much clearance exists; zero or below means the polygons touch or
-    interpenetrate.
-    """
-    P = pad_polygons([np.asarray(A, dtype=float), np.asarray(B, dtype=float)])
-    return float(polygon_margins_batch(P[:1], P[1:])[0])
-
-
 def polygon_margins_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Separating-axis margins of many polygon pairs: A, B are (n, v, 3) stacks.
 
@@ -446,19 +434,3 @@ def plate_axis_bounds(P: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray
     # gap[j, i]: best gap of polygon j against polygon i on polygon i's axes.
     gap = np.maximum(lo - own_hi[None], own_lo[None] - hi).max(axis=2)
     return np.maximum(gap[J, I], gap[I, J])
-
-
-def separation_margin(
-    meshA: PlateMesh, poseA: Pose, meshB: PlateMesh, poseB: Pose
-) -> float:
-    """Separation margin between two placed plates, in mm (negative overlaps)."""
-    return polygon_margin(poseA.apply(meshA.vertices), poseB.apply(meshB.vertices))
-
-
-def plates_collide(
-    meshA: PlateMesh, poseA: Pose, meshB: PlateMesh, poseB: Pose, clearance: float
-) -> bool:
-    """Whether two placed plates come within `clearance` of interpenetration."""
-    if clearance < 0.0:
-        raise DomainError(f"clearance = {clearance!r} must be nonnegative")
-    return separation_margin(meshA, poseA, meshB, poseB) <= clearance

@@ -142,9 +142,12 @@ def closure_residual(angles: CentralAngles, theta1, theta4):
         * (np.sin(t1) * np.sin(t4) - np.cos(t1) * np.cos(t4) * np.cos(a12))
         - np.cos(a34)
     )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(out)
+
+
+def _float_or_array(x):
+    """A float for a 0-d result, so that a float argument gives a float back."""
+    return float(x) if x.ndim == 0 else x
 
 
 def _check_alpha(alpha: float) -> None:
@@ -154,7 +157,7 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha = {alpha!r} outside (0, pi/2]")
 
 
-def theta4_of_theta1(alpha: float, theta1: float, config: Configuration) -> float:
+def theta4_of_theta1(alpha: float, theta1, config: Configuration):
     """Output fold angle as a closed form of the input fold angle.
 
     On the Up branch
@@ -163,32 +166,37 @@ def theta4_of_theta1(alpha: float, theta1: float, config: Configuration) -> floa
 
     which lies in (0, pi) for theta1 in (0, pi) and decreases strictly as
     theta1 grows. The Down branch is its negation. At theta1 = 0 the output
-    is exactly pi/2 regardless of alpha.
+    is exactly pi/2 regardless of alpha. theta1 is a float or an ndarray;
+    the result is a float or an ndarray of the same shape.
     """
     _check_alpha(alpha)
     half = 0.5 * theta1
-    up = math.atan2(math.cos(alpha) * math.cos(half), math.sin(half))
-    return config.sign * up
+    up = np.arctan2(math.cos(alpha) * np.cos(half), np.sin(half))
+    return _float_or_array(config.sign * up)
 
 
-def theta3_of_theta1(alpha: float, theta1: float, config: Configuration) -> float:
+def theta3_of_theta1(alpha: float, theta1, config: Configuration):
     """Fold angle between plates 3 and 4 as a closed form of theta1.
 
     The Up branch is arccos(sin(alpha)^2 * cos(theta1) - cos(alpha)^2);
     Down negates it. The cosine argument is clamped only against rounding
-    within 1e-12 of the interval ends; anything farther out raises.
+    within 1e-12 of the interval ends; anything farther out raises. theta1
+    is a float or an ndarray, as for theta4_of_theta1.
     """
     _check_alpha(alpha)
-    arg = math.sin(alpha) ** 2 * math.cos(theta1) - math.cos(alpha) ** 2
-    if abs(arg) > 1.0:
-        if abs(arg) > 1.0 + 1e-12:
-            raise DomainError(f"cos(theta3) argument {arg!r} outside [-1, 1]")
-        arg = math.copysign(1.0, arg)
-    return config.sign * math.acos(arg)
+    arg = math.sin(alpha) ** 2 * np.cos(theta1) - math.cos(alpha) ** 2
+    over = abs(arg) > 1.0
+    if np.count_nonzero(over):
+        far = abs(arg) > 1.0 + 1e-12
+        if np.count_nonzero(far):
+            bad = float(np.ravel(arg)[np.argmax(far)])
+            raise DomainError(f"cos(theta3) argument {bad!r} outside [-1, 1]")
+        arg = np.where(over, np.copysign(1.0, arg), arg)
+    return _float_or_array(config.sign * np.arccos(arg))
 
 
 def joint_state(alpha: float, theta1: float, config: Configuration) -> JointState:
-    """Full joint state driven by theta1.
+    """Full joint state driven by a scalar theta1.
 
     theta2 equals theta4 identically on both branches, a symmetry of this
     spherical four-bar (opposite links have equal central angles).
@@ -313,5 +321,7 @@ def sweep(
         if not -math.pi < v < math.pi:
             raise DomainError(f"theta1 bound {v!r} outside (-pi, pi)")
     grid = np.linspace(theta1_min, theta1_max, steps)
-    rows = tuple(joint_state(alpha, float(t), config) for t in grid)
-    return SweepTable(alpha, config, rows)
+    t4 = theta4_of_theta1(alpha, grid, config)
+    t3 = theta3_of_theta1(alpha, grid, config)
+    rows = np.column_stack((grid, t4, t3, t4)).tolist()
+    return SweepTable(alpha, config, tuple(JointState(*r, config) for r in rows))

@@ -120,6 +120,12 @@ class BoundingPlate:
     attach_parent: Pose
     attach_child: Pose
 
+    def __post_init__(self):
+        if not 0.0 < self.side < math.inf:
+            raise DomainError(
+                f"bounding plate side = {self.side!r} must be finite and positive"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class Base:
@@ -135,6 +141,13 @@ class Base:
     pose: Pose = field(default_factory=Pose.identity)
     slab_side: float = 0.0
     slab_center: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        center = np.asarray(self.slab_center, dtype=float)
+        if center.shape != (3,) or not np.isfinite(center).all():
+            raise DomainError(
+                f"base slab_center = {self.slab_center!r} needs three finite numbers"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,12 +443,10 @@ class Manipulator:
 
         # Collision nodes: ("p", unit, plate), ("bp", conn index), ("slab",).
         self.nodes = [("p", u, k) for u in range(n) for k in range(4)]
-        self._bp_conns = {}
         self._bp_verts = {}
         for ci, c in enumerate(spec.connections):
             if isinstance(c, BoundingPlate):
                 self.nodes.append(("bp", ci))
-                self._bp_conns[ci] = c
                 s = c.side
                 self._bp_verts[ci] = np.array(
                     [[0.0, 0.0, 0.0], [0.0, s, 0.0], [-s, s, 0.0], [-s, 0.0, 0.0]]

@@ -12,37 +12,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import Configuration, DomainError, SingularityError, joint_state
+from .linkage import Configuration, DomainError, SingularityError, _float_or_array
+from .linkage import theta3_of_theta1, theta4_of_theta1
 from .pouch import ActuatorConditions, PouchGeometry, central_angle, input_moment
 
 _SIN_FLOOR = 1e-12
 
 
-def mechanical_advantage(alpha: float, theta1: float, config: Configuration) -> float:
+def mechanical_advantage(alpha: float, theta1, config: Configuration):
     """Ratio of output moment to input moment at the given state.
 
     MA = |sin(theta3)| / (sin(alpha) * |sin(theta2)|). The value is the
     same on both branches. At theta1 = 0 it reduces to 2 cos(alpha), its
     minimum; it grows away from zero and diverges as sin(theta2) -> 0.
+    theta1 is a float or an ndarray; one singular element fails the call.
     """
-    st = joint_state(alpha, theta1, config)
-    s2 = abs(math.sin(st.theta2))
-    if s2 < _SIN_FLOOR:
+    s2 = abs(np.sin(theta4_of_theta1(alpha, theta1, config)))
+    s3 = abs(np.sin(theta3_of_theta1(alpha, theta1, config)))
+    low = s2 < _SIN_FLOOR
+    if np.count_nonzero(low):
+        i = np.argmax(low)
         raise SingularityError(
-            f"sin(theta2) = {s2:.3e} at theta1 = {theta1!r}; "
-            "mechanical advantage diverges"
+            f"sin(theta2) = {float(np.ravel(s2)[i]):.3e} at theta1 = "
+            f"{float(np.ravel(theta1)[i])!r}; mechanical advantage diverges"
         )
-    return abs(math.sin(st.theta3)) / (math.sin(alpha) * s2)
+    return _float_or_array(s3 / (math.sin(alpha) * s2))
 
 
 def output_moment(
     geom: PouchGeometry,
     cond: ActuatorConditions,
     alpha: float,
-    theta1: float,
+    theta1,
     config: Configuration,
-) -> float:
-    """Moment delivered at the output fold, N m magnitude."""
+):
+    """Moment delivered at the output fold, N m magnitude.
+
+    theta1 is a float or an ndarray, as for mechanical_advantage.
+    """
     return mechanical_advantage(alpha, theta1, config) * input_moment(geom, cond, theta1)
 
 
@@ -55,21 +62,6 @@ class MomentCurveRow:
     M_input: float
     MA: float
     M_output: float
-
-
-def moment_row(
-    geom: PouchGeometry,
-    cond: ActuatorConditions,
-    alpha: float,
-    theta1: float,
-    config: Configuration,
-) -> MomentCurveRow:
-    """One moment curve row at theta1; M_output is exactly MA * M_input."""
-    mi = input_moment(geom, cond, theta1)
-    ma = mechanical_advantage(alpha, theta1, config)
-    return MomentCurveRow(
-        theta1=theta1, S=central_angle(theta1), M_input=mi, MA=ma, M_output=ma * mi
-    )
 
 
 def moment_curve(
@@ -90,7 +82,9 @@ def moment_curve(
         raise DomainError(f"steps = {steps!r}, need at least 2")
     if not theta1_min < theta1_max:
         raise DomainError("theta1_min must be strictly below theta1_max")
-    return [
-        moment_row(geom, cond, alpha, float(t), config)
-        for t in np.linspace(theta1_min, theta1_max, steps)
-    ]
+    grid = np.linspace(theta1_min, theta1_max, steps)
+    S = central_angle(grid)
+    mi = input_moment(geom, cond, grid)
+    ma = mechanical_advantage(alpha, grid, config)
+    rows = np.column_stack((grid, S, mi, ma, ma * mi)).tolist()
+    return [MomentCurveRow(*row) for row in rows]

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linkage import DomainError
+import numpy as np
+
+from .linkage import DomainError, _float_or_array
 
 
 @dataclass(frozen=True)
@@ -78,16 +80,16 @@ def chord_length(theta1: float, L0: float) -> float:
     return L0 * math.cos(0.5 * theta1)
 
 
-def central_angle(theta1: float) -> float:
+def central_angle(theta1):
     """Arc angle S of the pouch cross-section at input angle theta1.
 
     Small-bend expansion of the constant-curvature pouch,
     S = sqrt(6 * (1 - cos(theta1 / 2))). Even in theta1; S(0) = 0 and
     S(pi) = sqrt(6). The expansion tracks the exact constant-curvature
     relation sin(S)/S = cos(theta1/2) to within a few percent over the
-    actuation range.
+    actuation range. theta1 is a float or an ndarray.
     """
-    return math.sqrt(6.0 * (1.0 - math.cos(0.5 * theta1)))
+    return _float_or_array(np.sqrt(6.0 * (1.0 - np.cos(0.5 * theta1))))
 
 
 _SMALL_S = 1e-4
@@ -95,16 +97,20 @@ _SMALL_S = 1e-4
 _LIMIT_COEF = (1.0 + 2.0 / math.sqrt(3.0)) / 2.0
 
 
-def _bracket(S: float) -> float:
+def _bracket(S):
     # Rewritten against catastrophic cancellation near S = 0:
     #   -1 +   S^2 + cos(2S) = S^2 - 2 sin(S)^2
     #   -1 + 2 S^2 + cos(2S) = 2 (S - sin S)(S + sin S)
-    t1 = S * S - 2.0 * math.sin(S) ** 2
-    t2 = 2.0 * (S - math.sin(S)) * (S + math.sin(S))
-    return t1 - math.sqrt(2.0) * math.cos(S) * math.sqrt(t2)
+    # float_power squares through libm pow for floats and arrays alike, as
+    # float ** 2 does. An array's ** 2 multiplies instead, which rounds
+    # differently in the last bit, so rows would depend on the call shape.
+    sin = np.sin(S)
+    t1 = S * S - 2.0 * np.float_power(sin, 2)
+    t2 = 2.0 * (S - sin) * (S + sin)
+    return t1 - math.sqrt(2.0) * np.cos(S) * np.sqrt(t2)
 
 
-def input_moment(geom: PouchGeometry, cond: ActuatorConditions, theta1: float) -> float:
+def input_moment(geom: PouchGeometry, cond: ActuatorConditions, theta1):
     """Magnitude of the pouch moment on the driven fold, in N m.
 
     Valid for |theta1| <= pi/2, the pouch actuation range. The moment is
@@ -114,16 +120,22 @@ def input_moment(geom: PouchGeometry, cond: ActuatorConditions, theta1: float) -
     with lengths converted from mm to m. Below S = 1e-4 the series limit
     (1 + 2/sqrt(3))/2 * Lp^2 * D * P is used; the two expressions agree to
     better than 1e-6 relative at the switchover. Even in theta1, linear in
-    pressure, and strictly decreasing in |theta1|.
+    pressure, and strictly decreasing in |theta1|. theta1 is a float or an
+    ndarray; one element outside the range fails the whole call.
     """
-    if abs(theta1) > math.pi / 2 + 1e-12:
+    over = abs(theta1) > math.pi / 2 + 1e-12
+    if np.count_nonzero(over):
+        bad = float(np.ravel(theta1)[np.argmax(over)])
         raise DomainError(
-            f"theta1 = {theta1!r} outside the actuation range [-pi/2, pi/2]"
+            f"theta1 = {bad!r} outside the actuation range [-pi/2, pi/2]"
         )
     Lp = geom.Lp * 1e-3
     D = geom.D * 1e-3
     P = cond.pressure
     S = central_angle(theta1)
-    if S < _SMALL_S:
-        return _LIMIT_COEF * Lp * Lp * D * P
-    return Lp * Lp * D * P * abs(_bracket(S)) / (2.0 * S * S)
+    small = S < _SMALL_S
+    # The series rows get a stand-in S of 1, so the discarded closed form
+    # divides by no zero.
+    S = np.where(small, 1.0, S)
+    full = Lp * Lp * D * P * abs(_bracket(S)) / (2.0 * S * S)
+    return _float_or_array(np.where(small, _LIMIT_COEF * Lp * Lp * D * P, full))

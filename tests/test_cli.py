@@ -1,5 +1,6 @@
 """Command line interface: formats, defaults, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -291,6 +292,30 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.count("non-finite number") == 2
 
+    # Values that parse but describe no buildable manipulator; each message
+    # names the offending field.
+    from selflock import Configuration, UnitSpec, preset_modular
+
+    chain = preset_modular([UnitSpec(math.radians(89), Configuration.DOWN)] * 2)
+    cases = []
+    data = chain.to_json_dict()
+    data["connections"][0]["slab_center_mm"] = [1.0, 2.0]
+    cases.append((data, "slab_center"))
+    data = chain.to_json_dict()
+    data["schedule"] = "x"
+    cases.append((data, "schedule"))
+    for side in (0.0, -1.0):
+        data = chain.to_json_dict()
+        assert data["connections"][1]["kind"] == "bounding_plate"
+        data["connections"][1]["side_mm"] = side
+        cases.append((data, "bounding plate side"))
+    for data, field in cases:
+        bad.write_text(json.dumps(data))
+        assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+    assert not out.exists()
+
 
 def test_non_finite_numbers_exit3(capsys):
     for bad in ("nan", "inf"):
@@ -360,3 +385,32 @@ def test_outputs_deterministic(capsys):
     first = capsys.readouterr().out
     main(manip_args)
     assert capsys.readouterr().out == first
+
+
+# sha256 of the table exports of AC10 and of the states report. AC10 only
+# compares repeated runs; these pins also catch a rounding change in the
+# closed forms that reaches the 9 exported digits.
+_PINNED_SHA256 = {
+    "sweep.csv": "34eff041c06f8a47a439404bf1f0e4530eddcfcadbd85dbd516478e0200aa7f6",
+    "sweep.json": "2a15eba05eeb4e1a2d58f697782e57f0210f7373606629b3f476780aa5561b00",
+    "moment.csv": "97bb6eb45c4c4b4131a75ea05c9049554923ca83410462303385cf7beed8b433",
+    "states": "ddf7f048d19f4b5be9ef4df214d632134b45a467c05f6a99aee1bca3a286dacc",
+}
+
+
+def test_table_exports_match_pinned_digests(tmp_path, capsys):
+    jobs = {
+        "sweep.csv": ["sweep", "--alpha-deg", "89", "--min-deg", "-170",
+                      "--max-deg", "170", "--steps", "69"],
+        "sweep.json": ["sweep", "--alpha-deg", "85", "--min-deg", "-120",
+                       "--max-deg", "120", "--steps", "33", "--format", "json"],
+        "moment.csv": ["moment", "--alpha-deg", "89"],
+    }
+    got = {}
+    for name, args in jobs.items():
+        path = tmp_path / name
+        assert main(args + ["--out", str(path)]) == 0
+        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert main(["states", "--alpha-deg", "89"]) == 0
+    got["states"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == _PINNED_SHA256

@@ -17,11 +17,8 @@ from selflock import (
     marker_position,
     mpf_theta1,
     plate_meshes,
-    plates_collide,
-    polygon_margin,
     polygon_margins_batch,
     rotation_about,
-    separation_margin,
     trim_corner,
     unit_poses,
 )
@@ -290,36 +287,42 @@ def _square(side=25.0):
     )
 
 
+def _margin(A, B):
+    """Separating-axis margin of one polygon pair through the batch kernel."""
+    P = pad_polygons([A, B])
+    return polygon_margins_batch(P[:1], P[1:])[0]
+
+
 def test_polygon_margin_coplanar_gap():
     A = _square()
     B = _square() + np.array([35.0, 0.0, 0.0])
-    assert polygon_margin(A, B) == pytest.approx(10.0, abs=1e-9)
+    assert _margin(A, B) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_polygon_margin_parallel_offset():
     A = _square()
     B = _square() + np.array([0.0, 0.0, 3.0])
-    assert polygon_margin(A, B) == pytest.approx(3.0, abs=1e-9)
+    assert _margin(A, B) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_polygon_margin_overlap_and_crossing():
     A = _square()
-    assert polygon_margin(A, A.copy()) <= 0.0
+    assert _margin(A, A.copy()) <= 0.0
     B = np.array(
         [[10.0, 5.0, -5.0], [10.0, 20.0, -5.0], [10.0, 20.0, 5.0], [10.0, 5.0, 5.0]]
     )
-    assert polygon_margin(A, B) <= 0.0
+    assert _margin(A, B) <= 0.0
 
 
 def test_plates_collide_thresholds():
     meshA = PlateMesh(_square(), math.pi / 2, False)
     meshB = PlateMesh(_square() + np.array([35.0, 0.0, 0.0]), math.pi / 2, False)
     ident = Pose.identity()
-    assert separation_margin(meshA, ident, meshB, ident) == pytest.approx(10.0)
-    assert not plates_collide(meshA, ident, meshB, ident, 1.0)
-    assert plates_collide(meshA, ident, meshB, ident, 10.5)
-    with pytest.raises(DomainError):
-        plates_collide(meshA, ident, meshB, ident, -0.1)
+    margin = _margin(ident.apply(meshA.vertices), ident.apply(meshB.vertices))
+    assert margin == pytest.approx(10.0)
+    # A pair blocks a step when its margin is at or below the clearance.
+    assert not margin <= 1.0
+    assert margin <= 10.5
 
 
 def _pentagon(radius=15.0):
@@ -360,7 +363,7 @@ def test_polygon_margins_batch_matches_single():
     padded = np.stack([np.vstack([q, q[-1:]]) for q in quads])
     batch = polygon_margins_batch(padded, np.stack(pents))
     assert np.abs(batch - reference).max() < 1e-9
-    singles = np.array([polygon_margin(a, b) for a, b in zip(quads, pents)])
+    singles = np.array([_margin(a, b) for a, b in zip(quads, pents)])
     assert np.abs(singles - reference).max() < 1e-9
 
 

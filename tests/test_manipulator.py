@@ -25,7 +25,7 @@ from selflock import (
     Weld,
     build,
     pair_margins,
-    polygon_margin,
+    polygon_margins_batch,
     preset_modular,
     preset_rotational,
     preset_translational,
@@ -451,9 +451,9 @@ def test_world_vertices_and_pair_margins():
     assert set(world.keys()) == set(manip.nodes)
     margins = pair_margins(world, manip.pairs)
     assert margins.shape == (len(manip.pairs),)
-    for pair, margin in zip(manip.pairs[:6], margins[:6]):
-        a, b = pair
-        assert polygon_margin(world[a], world[b]) == pytest.approx(
+    for (a, b), margin in zip(manip.pairs[:6], margins[:6]):
+        P = pad_polygons([world[a], world[b]])
+        assert polygon_margins_batch(P[:1], P[1:])[0] == pytest.approx(
             float(margin), abs=1e-9
         )
 

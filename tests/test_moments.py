@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selflock import (
     ActuatorConditions,
@@ -15,6 +18,8 @@ from selflock import (
     moment_curve,
     output_moment,
     pouch_geometry,
+    theta3_of_theta1,
+    theta4_of_theta1,
 )
 
 UP = Configuration.UP
@@ -87,3 +92,76 @@ def test_moment_curve_validation():
         moment_curve(alpha, UP, g, c, 0.0, 1.0, 1)
     with pytest.raises(DomainError):
         moment_curve(alpha, UP, g, c, 1.0, 0.0, 5)
+
+
+# The five closed forms that take a float or an ndarray theta1, each as a
+# function of (alpha, theta1, config), with the theta1 half-range its grids
+# are drawn from.
+_ARRAY_FORMS = {
+    "theta4_of_theta1": (theta4_of_theta1, math.pi),
+    "theta3_of_theta1": (theta3_of_theta1, math.pi),
+    "central_angle": (lambda a, t, cfg: central_angle(t), math.pi),
+    "input_moment": (
+        lambda a, t, cfg: input_moment(
+            pouch_geometry(25.0, a), ActuatorConditions(1e4), t
+        ),
+        math.pi / 2,
+    ),
+    "mechanical_advantage": (mechanical_advantage, math.pi),
+}
+# An element outside the domain, for the forms that have one.
+_OUTSIDE = {
+    "input_moment": st.floats(math.pi / 2 + 1e-9, math.pi)
+    | st.floats(-math.pi, -math.pi / 2 - 1e-9),
+    "mechanical_advantage": st.sampled_from((math.pi, -math.pi)),
+}
+_ALPHAS = st.floats(
+    math.radians(45), math.radians(90), exclude_min=True, exclude_max=True
+)
+_CONFIGS = st.sampled_from((UP, DOWN))
+
+
+def _scalar_outcomes(f, alpha, grid, config):
+    """Each element's scalar result, or the exception it raises."""
+    out = []
+    for t in grid:
+        try:
+            out.append(f(alpha, t, config))
+        except DomainError as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_ARRAY_FORMS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alpha=_ALPHAS, config=_CONFIGS)
+def test_array_call_matches_scalar_calls(name, data, alpha, config):
+    f, half = _ARRAY_FORMS[name]
+    grid = data.draw(st.lists(st.floats(-half, half), min_size=1, max_size=40))
+    scalars = _scalar_outcomes(f, alpha, grid, config)
+    failed = [r for r in scalars if isinstance(r, DomainError)]
+    if failed:
+        with pytest.raises(DomainError) as info:
+            f(alpha, np.array(grid), config)
+        assert type(info.value) is type(failed[0])
+        return
+    assert all(type(r) is float for r in scalars)
+    got = f(alpha, np.array(grid), config)
+    assert got.shape == (len(grid),)
+    assert got.tobytes() == np.array(scalars).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_OUTSIDE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), alpha=_ALPHAS, config=_CONFIGS)
+def test_array_call_raises_like_scalar_call(name, data, alpha, config):
+    f = _ARRAY_FORMS[name][0]
+    grid = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+    bad = data.draw(_OUTSIDE[name])
+    grid.insert(data.draw(st.integers(0, len(grid))), bad)
+    with pytest.raises(DomainError) as scalar:
+        f(alpha, bad, config)
+    with pytest.raises(DomainError) as array:
+        f(alpha, np.array(grid), config)
+    assert type(array.value) is type(scalar.value)
