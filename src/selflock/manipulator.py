@@ -176,6 +176,7 @@ class ManipulatorSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ManipulatorSpec":
+        _check_finite(data, "spec")
         try:
             units = tuple(_unit_from_json(u) for u in data["units"])
             conns = tuple(_conn_from_json(c) for c in data["connections"])
@@ -183,9 +184,26 @@ class ManipulatorSpec:
             marker = (int(mk["unit"]), int(mk["plate"]), int(mk["corner"]))
         except SpecError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise SpecError(f"malformed manipulator spec: {exc}") from exc
         return cls(units, conns, marker)
+
+
+def _check_finite(node, path: str) -> None:
+    """Raise SpecError naming the first non-finite number in parsed JSON.
+
+    json.loads reads NaN and Infinity, and reads an overflowing literal
+    such as 1e400 as inf; no field of a spec file may hold any of them.
+    """
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise SpecError(f"non-finite number {node!r} at {path}")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{path}[{i}]")
 
 
 def _pose_to_json(p: Pose) -> dict:
@@ -289,7 +307,7 @@ def _conn_from_json(d: dict):
         raise SpecError(f"unknown connection kind {kind!r}")
     except SpecError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed connection: {exc}") from exc
 
 
@@ -821,25 +839,28 @@ def run(
         return _collides(P, wi, wj, collision_clearance)
 
     frames = []
+    mu, mp, mc = manipulator.spec.marker
 
     def make_frame(t: float) -> Frame:
-        poses = None
-        if include_poses:
-            frames_, psets, _ = manipulator._frames(thetas)
+        if not include_poses:
+            return Frame(t, tuple(thetas), manipulator.marker_world(thetas), None)
+        frames_, psets, _ = manipulator._frames(thetas)
+        poses = tuple(
+            frames_[i].compose(psets[i].poses[k])
+            for i in range(len(units))
+            for k in range(4)
+        )
+        if frames:
+            # A plate that has not moved since the last frame keeps that
+            # frame's Pose, so a long run holds one object per resting
+            # plate instead of one per frame.
             poses = tuple(
-                frames_[i].compose(psets[i].poses[k])
-                for i in range(len(units))
-                for k in range(4)
+                old if old.rt.tobytes() == new.rt.tobytes() else new
+                for new, old in zip(poses, frames[-1].poses)
             )
-            if frames:
-                # A plate that has not moved since the last frame keeps that
-                # frame's Pose, so a long run holds one object per resting
-                # plate instead of one per frame.
-                poses = tuple(
-                    old if old.rt.tobytes() == new.rt.tobytes() else new
-                    for new, old in zip(poses, frames[-1].poses)
-                )
-        return Frame(t, tuple(thetas), manipulator.marker_world(thetas), poses)
+        # The marker plate's pose is the compose marker_world would make.
+        marker = poses[4 * mu + mp].apply(manipulator._plain[mu][mp].vertices[mc])
+        return Frame(t, tuple(thetas), marker, poses)
 
     frames.append(make_frame(0.0))
     committed = []

@@ -292,6 +292,35 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.count("non-finite number") == 2
 
+    # json.loads reads an overflowing literal as inf without calling
+    # parse_constant. In an integer field int() then raised OverflowError
+    # (exit 1, traceback); a float field built inf geometry (exit 0).
+    spec = preset_rotational(math.radians(89), math.radians(89)).to_json_dict()
+    spec["schedule"] = {"mode": "sequential", "phases": [
+        {"unit": 0, "target": "mpf", "steps": 2}, {"unit": 1, "target": "mpf", "steps": 2},
+    ]}
+    leaves = (
+        (("connections", 1, "parent"), "spec.connections[1].parent"),
+        (("marker", "unit"), "spec.marker.unit"),
+        (("schedule", "phases", 1, "steps"), "spec.schedule.phases[1].steps"),
+        (("connections", 0, "pose", "t_mm", 0), "spec.connections[0].pose.t_mm[0]"),
+        (("connections", 0, "slab_side_mm"), "spec.connections[0].slab_side_mm"),
+    )
+    for path, field in leaves:
+        data = json.loads(json.dumps(spec))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "OVERFLOW"
+        bad.write_text(json.dumps(data).replace('"OVERFLOW"', "1e400"))
+        assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"non-finite number inf at {field}" in err and "Traceback" not in err
+    assert not out.exists()
+    bad.write_text(json.dumps(spec))
+    assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 0
+    out.unlink()
+
     # Values that parse but describe no buildable manipulator; each message
     # names the offending field.
     from selflock import Configuration, UnitSpec, preset_modular
@@ -315,6 +344,15 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_schedule_from_json_infinite_integer():
+    # Called on its own, the schedule parser turns int(inf)'s OverflowError
+    # into a SpecError like any other malformed field.
+    for phase in ({"unit": math.inf, "target": "mpf"},
+                  {"unit": 0, "target": "mpf", "steps": -math.inf}):
+        with pytest.raises(cli.SpecError, match="malformed schedule: .*infinity"):
+            cli._schedule_from_json({"phases": [phase]}, 2, math.radians(36.5))
 
 
 def test_non_finite_numbers_exit3(capsys):

@@ -232,6 +232,105 @@ def test_oracle_roots_match_per_bracket_bisection(a, t1, quad):
         assert abs(r - e) <= 1e-12
 
 
+def _residual_one_pass(angles, theta1, theta4):
+    """Reference closure residual: the whole expression in one numpy pass."""
+    a12, a23, a34, a41 = angles.alpha12, angles.alpha23, angles.alpha34, angles.alpha41
+    t1 = np.asarray(theta1, dtype=float)
+    t4 = np.abs(np.asarray(theta4, dtype=float))
+    out = (
+        np.cos(a41) * np.cos(a23) * np.cos(a12)
+        - (
+            np.sin(a41) * np.cos(a23) * np.cos(t4)
+            + np.cos(a41) * np.sin(a23) * np.cos(t1)
+        )
+        * np.sin(a12)
+        + np.sin(a41)
+        * np.sin(a23)
+        * (np.sin(t1) * np.sin(t4) - np.cos(t1) * np.cos(t4) * np.cos(a12))
+        - np.cos(a34)
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def _bisect_one_level_per_call(angles, theta1, samples=3600):
+    """Reference oracle: all brackets halved together, one level per call."""
+    grid = -math.pi + 2.0 * math.pi * np.arange(1, samples + 1) / samples
+    vals = _residual_one_pass(angles, theta1, grid)
+    ends = np.append(grid[1:], grid[0] + 2.0 * math.pi)
+    cross = np.flatnonzero(vals * np.roll(vals, -1) < 0.0)
+    a, b, fa = grid[cross], ends[cross], vals[cross]
+    while True:
+        live = np.flatnonzero(b - a > 1e-12)
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        fm = _residual_one_pass(
+            angles, theta1, np.where(mid > math.pi, mid - 2.0 * math.pi, mid)
+        )
+        left = fa[live] * fm < 0.0
+        b[live] = np.where(left | (fm == 0.0), mid, b[live])
+        a[live] = np.where(left, a[live], mid)
+        fa[live] = np.where(left, fa[live], fm)
+    found = 0.5 * (a + b)
+    found = np.where(found > math.pi, found - 2.0 * math.pi, found)
+    out = []
+    for r in np.sort(np.concatenate((grid[vals == 0.0], found))).tolist():
+        if not out or r - out[-1] > 1e-10:
+            out.append(r)
+    return out
+
+
+_ORACLE_DRAWS = dict(
+    a=st.floats(min_value=46.0, max_value=89.5),
+    t1=st.one_of(
+        st.floats(min_value=-179.0, max_value=179.0),
+        st.floats(min_value=177.0, max_value=179.0),
+        st.floats(min_value=-179.0, max_value=-177.0),
+    ),
+    quad=st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_ORACLE_DRAWS)
+@example(a=89.0, t1=-178.0, quad=False)
+@example(a=89.0, t1=179.0, quad=False)
+@example(a=80.0, t1=0.0, quad=False)
+@example(a=60.0, t1=40.0, quad=True)
+def test_oracle_roots_equal_one_level_bisection(a, t1, quad):
+    # Several levels per residual call must give the roots of one level per
+    # call exactly, not just within the 1e-12 stop width.
+    if quad:
+        ang = CentralAngles(*[math.radians(60)] * 4)
+    else:
+        ang = CentralAngles.self_lock(math.radians(a))
+    assert oracle_roots(ang, math.radians(t1)) == _bisect_one_level_per_call(
+        ang, math.radians(t1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    **_ORACLE_DRAWS,
+    t4=st.floats(min_value=-4.0, max_value=4.0),
+    n=st.integers(min_value=1, max_value=40),
+)
+def test_closure_residual_bit_identical_to_one_pass(a, t1, quad, t4, n):
+    if quad:
+        ang = CentralAngles(*[math.radians(60)] * 4)
+    else:
+        ang = CentralAngles.self_lock(math.radians(a))
+    t1 = math.radians(t1)
+    got = closure_residual(ang, t1, t4)
+    assert type(got) is float
+    assert got == _residual_one_pass(ang, t1, t4)
+    t4s = np.linspace(-t4, t4 + 0.5, n)
+    t1s = np.linspace(t1, -t1, n)
+    for th1, th4 in ((t1, t4s), (t1s, t4), (t1s, t4s)):
+        got = closure_residual(ang, th1, th4)
+        assert got.tobytes() == _residual_one_pass(ang, th1, th4).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(min_value=46.0, max_value=89.5),

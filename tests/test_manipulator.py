@@ -1,6 +1,8 @@
 """Manipulator assembly, presets, schedule runs, and trajectory export."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from selflock import (
 )
 from selflock.geometry import pad_polygons
 from selflock.linkage import mpf_theta1
-from selflock.manipulator import _collides, _node_rows
+from selflock.manipulator import _collides, _conn_from_json, _node_rows
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -99,6 +101,36 @@ def test_spec_json_malformed():
     bad = {**good, "connections": [{"kind": "rivet"}]}
     with pytest.raises(SpecError):
         ManipulatorSpec.from_json_dict(bad)
+
+
+def test_spec_json_non_finite():
+    # json.loads reads 1e400 as inf. int(inf) raises OverflowError, and a
+    # float leaf would build inf geometry; both must be SpecErrors naming
+    # the field.
+    good = preset_rotational(math.radians(89), math.radians(89)).to_json_dict()
+    for path in (
+        ("connections", 1, "parent"),
+        ("marker", "unit"),
+        ("connections", 0, "slab_side_mm"),
+        ("connections", 0, "pose", "t_mm", 2),
+        ("units", 0, "m_mm"),
+    ):
+        for value in (math.inf, -math.inf, math.nan):
+            data = json.loads(json.dumps(good))
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            where = "spec" + "".join(
+                f"[{k}]" if isinstance(k, int) else f".{k}" for k in path
+            )
+            with pytest.raises(SpecError, match=re.escape(where) + "$"):
+                ManipulatorSpec.from_json_dict(data)
+    # The connection parser on its own turns the OverflowError of an
+    # infinite integer field into a SpecError too.
+    weld = {**good["connections"][1], "child": math.inf}
+    with pytest.raises(SpecError, match="infinity"):
+        _conn_from_json(weld)
 
 
 def test_spec_sha256_stable_and_sensitive():
@@ -423,6 +455,39 @@ def test_run_include_poses_shares_resting_plates():
     for f in frames[4:]:
         assert all(f.poses[i] is frames[3].poses[i] for i in range(5))
         assert not any(f.poses[i] is frames[3].poses[i] for i in range(5, 8))
+
+
+def test_run_include_poses_same_markers_and_poses():
+    # With poses the marker comes from the marker plate's own frame pose;
+    # it must be the marker a run without poses computes, to the byte, and
+    # every pose the compose of a fresh frame chain at that state.
+    half = OutputAngle(math.pi / 2)
+    cases = (
+        (preset_rotational(math.radians(89), math.radians(85)), _mpf_schedule(2, steps=6)),
+        (
+            preset_translational(math.radians(85), GAMMA, 25.0),
+            ActivationSchedule(
+                (Phase(0, half, 6), Phase(1, MPF(GAMMA), 6),
+                 Phase(2, MPF(GAMMA), 6), Phase(3, half, 6)),
+                Mode.SIMULTANEOUS,
+            ),
+        ),
+        (preset_modular(tuple(_unit() for _ in range(4))), _mpf_schedule(4, steps=8)),
+    )
+    for spec, sched in cases:
+        manip = build(spec)
+        plain = run(manip, sched)
+        posed = run(manip, sched, include_poses=True)
+        assert posed.meta == plain.meta
+        assert len(posed.frames) == len(plain.frames) > 1
+        n = 4 * len(spec.units)
+        for f, g in zip(posed.frames, plain.frames):
+            assert (f.t, f.theta1s) == (g.t, g.theta1s)
+            assert f.marker.tobytes() == g.marker.tobytes()
+            assert f.marker.tobytes() == manip.marker_world(list(f.theta1s)).tobytes()
+            world, psets, _ = manip._frames(list(f.theta1s))
+            fresh = [world[k // 4].compose(psets[k // 4].poses[k % 4]) for k in range(n)]
+            assert [p.rt.tobytes() for p in f.poses] == [p.rt.tobytes() for p in fresh]
 
 
 def test_run_meta_contents():
