@@ -249,13 +249,17 @@ def theta1_of_theta4(alpha: float, theta4: float, config: Configuration) -> floa
 # 2 cores: k = 3 to 6 all cost 0.32-0.37 ms per call (k = 4 least), from
 # 0.88 ms at one level per call; k = 8 costs 0.50 ms.
 _LEVELS_PER_CALL = 4
+# oracle_roots' uniform scan of theta4 over (-pi, pi], 3600 points; shared
+# by every call, so read-only.
+_ORACLE_GRID = -math.pi + 2.0 * math.pi * np.arange(1, 3601) / 3600
+_ORACLE_GRID.flags.writeable = False
 
 
-def oracle_roots(angles: CentralAngles, theta1: float, samples: int = 3600) -> list:
+def oracle_roots(angles: CentralAngles, theta1: float) -> list:
     """All output angles compatible with theta1, found numerically.
 
     Scans closure_residual over a dense uniform grid of theta4 in (-pi, pi]
-    (at least 3600 samples) and refines every sign change by bisection to
+    (3600 samples) and refines every sign change by bisection to
     1e-12 rad. theta4 lives on a circle, so the scan includes the closing
     cell across the +/-pi seam; a root found there is wrapped back into
     (-pi, pi]. Exact grid zeros are kept as-is. Independent of the closed
@@ -267,10 +271,8 @@ def oracle_roots(angles: CentralAngles, theta1: float, samples: int = 3600) -> l
     the steps it would take one level per evaluation, so the roots are
     those of plain bisection to the bit.
     """
-    if samples < 3600:
-        samples = 3600
     residual = _residual_of_theta4(angles, theta1)
-    grid = -math.pi + 2.0 * math.pi * np.arange(1, samples + 1) / samples
+    grid = _ORACLE_GRID
     vals = residual(grid)
     # Cell k runs from grid[k] to grid[k + 1]; the last one closes the
     # circle, running past +pi to grid[0] + 2 pi.

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    PlateMesh,
     Pose,
     pad_polygons,
     plate_axis_bounds,
@@ -143,6 +142,11 @@ class Base:
     slab_center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        # 0 means no slab; NaN fails the comparison too.
+        if not 0.0 <= self.slab_side < math.inf:
+            raise DomainError(
+                f"base slab_side = {self.slab_side!r} must be finite and nonnegative"
+            )
         center = np.asarray(self.slab_center, dtype=float)
         if center.shape != (3,) or not np.isfinite(center).all():
             raise DomainError(
@@ -379,7 +383,7 @@ def _target_theta1(target, alpha: float, config: Configuration) -> float:
 
 
 class Manipulator:
-    """Validated assembly with resolved frame chain and collision pair list.
+    """Validated assembly with resolved frame chain and collision model.
 
     Nodes of the collision model are the individual plate polygons plus any
     bounding plates and the base slab. Welded and bounded plates merge into
@@ -402,8 +406,8 @@ class Manipulator:
             raise SpecError("base connection references an invalid unit or plate")
 
         # Children per parent unit as (connection index, connection).
-        self._children = {}
-        self._parent_conn = {}
+        children = {}
+        parent_conn = {}
         for ci, c in enumerate(spec.connections):
             if isinstance(c, Base):
                 continue
@@ -415,12 +419,12 @@ class Manipulator:
                     raise SpecError(f"connection plate index {pl} out of range")
             if c.child == c.parent:
                 raise SpecError("connection joins a unit to itself")
-            if c.child in self._parent_conn:
+            if c.child in parent_conn:
                 raise SpecError(f"unit {c.child} attached by more than one connection")
             if c.child == self.base.unit:
                 raise SpecError("the grounded unit cannot also be a weld child")
-            self._parent_conn[c.child] = c
-            self._children.setdefault(c.parent, []).append((ci, c))
+            parent_conn[c.child] = c
+            children.setdefault(c.parent, []).append((ci, c))
 
         # Every unit must reach the base through parent links, with no cycles.
         for u in range(n):
@@ -430,7 +434,7 @@ class Manipulator:
                 if cur in seen:
                     raise SpecError("connection graph contains a cycle")
                 seen.add(cur)
-                conn = self._parent_conn.get(cur)
+                conn = parent_conn.get(cur)
                 if conn is None:
                     raise SpecError(f"unit {cur} is not connected to the base")
                 cur = conn.parent
@@ -439,42 +443,36 @@ class Manipulator:
         if not (0 <= mu < n and 0 <= mp <= 3 and 0 <= mc <= 3):
             raise SpecError(f"marker {spec.marker!r} does not resolve")
 
-        # Topological order, parents before children.
-        order = [self.base.unit]
-        queue = [self.base.unit]
-        while queue:
-            u = queue.pop(0)
-            for _, c in self._children.get(u, []):
-                order.append(c.child)
-                queue.append(c.child)
-        self._order = order
+        # The non-base connections in topological order, parents before
+        # children: units breadth first from the base, each unit's children
+        # in connection order. The loop also visits what it appends.
+        self._chain = list(children.get(self.base.unit, []))
+        for _, c in self._chain:
+            self._chain.extend(children.get(c.child, []))
 
-        # Plate meshes, plain for the marker and trimmed for collisions.
-        self._plain = []
-        self._coll = []
-        for u in spec.units:
-            plain = tuple(
-                plate_meshes(u.alpha, size)[k] for k, size in enumerate(u.plate_sizes)
-            )
-            self._plain.append(plain)
-            self._coll.append(tuple(trim_corner(msh, _TRIM_MM) for msh in plain))
-
-        # Collision nodes: ("p", unit, plate), ("bp", conn index), ("slab",).
+        # Collision nodes and their local polygons: ("p", unit, plate) the
+        # plate trimmed at the shared corner, ("bp", conn index) the square
+        # in its own frame, ("slab",) the base slab already in world frame.
         self.nodes = [("p", u, k) for u in range(n) for k in range(4)]
-        self._bp_verts = {}
+        polys = [
+            trim_corner(plate_meshes(u.alpha, size)[k], _TRIM_MM).vertices
+            for u in spec.units
+            for k, size in enumerate(u.plate_sizes)
+        ]
         for ci, c in enumerate(spec.connections):
             if isinstance(c, BoundingPlate):
                 self.nodes.append(("bp", ci))
                 s = c.side
-                self._bp_verts[ci] = np.array(
-                    [[0.0, 0.0, 0.0], [0.0, s, 0.0], [-s, s, 0.0], [-s, 0.0, 0.0]]
+                polys.append(
+                    np.array(
+                        [[0.0, 0.0, 0.0], [0.0, s, 0.0], [-s, s, 0.0], [-s, 0.0, 0.0]]
+                    )
                 )
-        self._slab_mesh = None
         if self.base.slab_side > 0.0:
             self.nodes.append(("slab",))
             h = 0.5 * self.base.slab_side
             cx, cy, cz = self.base.slab_center
-            self._slab_mesh = PlateMesh(
+            polys.append(
                 np.array(
                     [
                         [cx - h, cy - h, cz],
@@ -482,50 +480,44 @@ class Manipulator:
                         [cx + h, cy + h, cz],
                         [cx - h, cy + h, cz],
                     ]
-                ),
-                math.pi / 2,
-                False,
+                )
             )
+        self._local = pad_polygons(polys)
+        self._counts = [len(p) for p in polys]
+        # The marker corner, on its untrimmed plate.
+        mesh = plate_meshes(spec.units[mu].alpha, spec.units[mu].plate_sizes[mp])[mp]
+        self._marker = mesh.vertices[mc]
 
-        # Rigid bodies by union-find over nodes plus the ground.
-        parent_of = {node: node for node in self.nodes}
-        parent_of["ground"] = "ground"
+        # Rigid body label per node. The base plate and the slab are ground;
+        # along the chain each connection gives its child plate, and its
+        # bounding plate, the body of its parent plate.
+        row = {node: i for i, node in enumerate(self.nodes)}
+        self._body = list(range(len(self.nodes)))
+        ground = -1
+        self._body[row[("p", self.base.unit, self.base.plate)]] = ground
+        if self.base.slab_side > 0.0:
+            self._body[row[("slab",)]] = ground
+        for ci, c in self._chain:
+            body = self._body[row[("p", c.parent, c.parent_plate)]]
+            self._body[row[("p", c.child, c.child_plate)]] = body
+            if isinstance(c, BoundingPlate):
+                self._body[row[("bp", ci)]] = body
 
-        def find(x):
-            while parent_of[x] != x:
-                parent_of[x] = parent_of[parent_of[x]]
-                x = parent_of[x]
-            return x
-
-        def union(a, b):
-            parent_of[find(a)] = find(b)
-
-        union(("p", self.base.unit, self.base.plate), "ground")
-        if self._slab_mesh is not None:
-            union(("slab",), "ground")
-        for ci, c in enumerate(spec.connections):
-            if isinstance(c, Weld):
-                union(("p", c.parent, c.parent_plate), ("p", c.child, c.child_plate))
-            elif isinstance(c, BoundingPlate):
-                union(("p", c.parent, c.parent_plate), ("bp", ci))
-                union(("bp", ci), ("p", c.child, c.child_plate))
-        self._body = {node: find(node) for node in self.nodes}
-
-        folds = set()
-        for u in range(n):
-            for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-                folds.add((("p", u, a), ("p", u, b)))
-                folds.add((("p", u, b), ("p", u, a)))
-
+        # Plates k and k +- 1 (mod 4) of one unit share a fold: their plate
+        # indices differ by an odd number.
         self.pairs = []
-        for i in range(len(self.nodes)):
+        rows_i, rows_j = [], []
+        for i, a in enumerate(self.nodes):
             for j in range(i + 1, len(self.nodes)):
-                a, b = self.nodes[i], self.nodes[j]
-                if self._body[a] == self._body[b]:
+                b = self.nodes[j]
+                if self._body[i] == self._body[j]:
                     continue
-                if (a, b) in folds:
+                if a[0] == b[0] == "p" and a[1] == b[1] and (a[2] - b[2]) % 2 == 1:
                     continue
                 self.pairs.append((a, b))
+                rows_i.append(i)
+                rows_j.append(j)
+        self._pair_rows = (np.array(rows_i, dtype=int), np.array(rows_j, dtype=int))
 
     @property
     def dof(self) -> int:
@@ -545,42 +537,52 @@ class Manipulator:
         bp_world = {}
         bu = self.base.unit
         frames[bu] = self.base.pose.compose(psets[bu].poses[self.base.plate].inverse())
-        for u in self._order:
-            for ci, c in self._children.get(u, []):
-                pworld = frames[u].compose(psets[u].poses[c.parent_plate])
-                if isinstance(c, Weld):
-                    child_base = pworld.compose(c.rel)
-                else:
-                    plate_world = pworld.compose(c.attach_parent)
-                    bp_world[ci] = plate_world
-                    child_base = plate_world.compose(c.attach_child)
-                frames[c.child] = child_base.compose(
-                    psets[c.child].poses[c.child_plate].inverse()
-                )
+        for ci, c in self._chain:
+            pworld = frames[c.parent].compose(psets[c.parent].poses[c.parent_plate])
+            if isinstance(c, Weld):
+                child_base = pworld.compose(c.rel)
+            else:
+                plate_world = pworld.compose(c.attach_parent)
+                bp_world[ci] = plate_world
+                child_base = plate_world.compose(c.attach_child)
+            frames[c.child] = child_base.compose(
+                psets[c.child].poses[c.child_plate].inverse()
+            )
         return frames, psets, bp_world
+
+    def _placed(self, thetas) -> tuple:
+        """Plate world poses, unit-major, and the padded world polygon stack.
+
+        Row i of the stack is node i's collision polygon in world frame,
+        padded as pad_polygons pads it; the slab row is the local one.
+        """
+        frames, psets, bp_world = self._frames(thetas)
+        poses = tuple(
+            frames[u].compose(psets[u].poses[k])
+            for u in range(len(self.units))
+            for k in range(4)
+        )
+        # Bounding plate nodes follow the plates, in connection order.
+        moving = poses + tuple(bp_world[ci] for ci in sorted(bp_world))
+        world = self._local.copy()
+        for i, pose in enumerate(moving):
+            world[i] = pose.apply(world[i])
+        return poses, world
 
     def world_vertices(self, thetas) -> dict:
         """World vertex arrays of every collision node at the given state."""
-        frames, psets, bp_world = self._frames(thetas)
-        out = {}
-        for node in self.nodes:
-            if node[0] == "p":
-                _, u, k = node
-                pose = frames[u].compose(psets[u].poses[k])
-                out[node] = pose.apply(self._coll[u][k].vertices)
-            elif node[0] == "bp":
-                ci = node[1]
-                out[node] = bp_world[ci].apply(self._bp_verts[ci])
-            else:
-                out[node] = self._slab_mesh.vertices.copy()
-        return out
+        _, world = self._placed(thetas)
+        return {
+            node: world[i, :count]
+            for i, (node, count) in enumerate(zip(self.nodes, self._counts))
+        }
 
     def marker_world(self, thetas) -> np.ndarray:
         """World position of the spec's marker corner at the given state."""
         frames, psets, _ = self._frames(thetas)
-        mu, mp, mc = self.spec.marker
+        mu, mp, _ = self.spec.marker
         pose = frames[mu].compose(psets[mu].poses[mp])
-        return pose.apply(self._plain[mu][mp].vertices[mc])
+        return pose.apply(self._marker)
 
 
 def build(spec: ManipulatorSpec) -> Manipulator:
@@ -627,16 +629,9 @@ def preset_translational(alpha: float, gamma: float, d: float) -> ManipulatorSpe
     the physical build; this changes collision extents only, never the
     kinematics.
     """
-    if not 0.0 < gamma < math.pi / 2:
-        raise DomainError(
-            f"gamma = {gamma!r} outside (0, pi/2); the zigzag degenerates"
-        )
-    if not 0.0 < d < math.inf:
-        raise DomainError(f"d = {d!r} must be finite and positive")
+    f, q = translational_link_lengths(gamma, d)
     m = M_DEFAULT
     fan = 0.5 * m
-    f = d / math.tan(gamma)
-    q = d / math.cos(gamma)
     down, up = Configuration.DOWN, Configuration.UP
     units = (
         UnitSpec(alpha, down, m, (m, fan, fan, f)),
@@ -662,7 +657,9 @@ def preset_translational(alpha: float, gamma: float, d: float) -> ManipulatorSpe
 def translational_link_lengths(gamma: float, d: float) -> tuple:
     """The zigzag plate lengths (f, q) for rise d at wall angle gamma."""
     if not 0.0 < gamma < math.pi / 2:
-        raise DomainError(f"gamma = {gamma!r} outside (0, pi/2)")
+        raise DomainError(
+            f"gamma = {gamma!r} outside (0, pi/2); the zigzag degenerates"
+        )
     if not 0.0 < d < math.inf:
         raise DomainError(f"d = {d!r} must be finite and positive")
     return d / math.tan(gamma), d / math.cos(gamma)
@@ -825,31 +822,23 @@ def run(
             raise SpecError("phase steps must be at least 1")
 
     thetas = manipulator.semi_flat_thetas()
-    world0 = manipulator.world_vertices(thetas)
-    margins0 = pair_margins(world0, manipulator.pairs)
-    watched = [
-        pair
-        for pair, margin in zip(manipulator.pairs, margins0)
-        if margin > collision_clearance
-    ]
-    wi, wj = _node_rows(world0, watched)
+    poses, world = manipulator._placed(thetas)
+    I, J = manipulator._pair_rows
+    watched = polygon_margins_batch(world[I], world[J]) > collision_clearance
+    wi, wj = I[watched], J[watched]
 
-    def blocked(cand) -> bool:
-        P = pad_polygons(list(manipulator.world_vertices(cand).values()))
-        return _collides(P, wi, wj, collision_clearance)
+    def clear_poses(cand):
+        """The plate poses at cand, or None if a watched pair is blocked."""
+        poses, world = manipulator._placed(cand)
+        return None if _collides(world, wi, wj, collision_clearance) else poses
 
     frames = []
-    mu, mp, mc = manipulator.spec.marker
+    mu, mp, _ = manipulator.spec.marker
 
-    def make_frame(t: float) -> Frame:
+    def make_frame(t: float, poses: tuple) -> Frame:
+        """The frame at the current thetas, whose plate poses are given."""
         if not include_poses:
             return Frame(t, tuple(thetas), manipulator.marker_world(thetas), None)
-        frames_, psets, _ = manipulator._frames(thetas)
-        poses = tuple(
-            frames_[i].compose(psets[i].poses[k])
-            for i in range(len(units))
-            for k in range(4)
-        )
         if frames:
             # A plate that has not moved since the last frame keeps that
             # frame's Pose, so a long run holds one object per resting
@@ -859,10 +848,10 @@ def run(
                 for new, old in zip(poses, frames[-1].poses)
             )
         # The marker plate's pose is the compose marker_world would make.
-        marker = poses[4 * mu + mp].apply(manipulator._plain[mu][mp].vertices[mc])
+        marker = poses[4 * mu + mp].apply(manipulator._marker)
         return Frame(t, tuple(thetas), marker, poses)
 
-    frames.append(make_frame(0.0))
+    frames.append(make_frame(0.0, poses))
     committed = []
     requested = [ph.steps for ph in schedule.phases]
 
@@ -875,11 +864,12 @@ def run(
             for s in range(1, ph.steps + 1):
                 cand = list(thetas)
                 cand[u] = start + (tgt - start) * s / ph.steps
-                if blocked(cand):
+                poses = clear_poses(cand)
+                if poses is None:
                     break
                 thetas = cand
                 ncommit = s
-                frames.append(make_frame(pi + s / ph.steps))
+                frames.append(make_frame(pi + s / ph.steps, poses))
             committed.append(ncommit)
     else:
         starts = list(thetas)
@@ -895,11 +885,12 @@ def run(
             cand = list(thetas)
             for u, tgt in targets.items():
                 cand[u] = starts[u] + (tgt - starts[u]) * frac
-            if blocked(cand):
+            poses = clear_poses(cand)
+            if poses is None:
                 break
             thetas = cand
             ncommit = s
-            frames.append(make_frame(frac))
+            frames.append(make_frame(frac, poses))
         committed = [ncommit for _ in schedule.phases]
 
     gammas = [

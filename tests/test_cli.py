@@ -338,6 +338,9 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
         assert data["connections"][1]["kind"] == "bounding_plate"
         data["connections"][1]["side_mm"] = side
         cases.append((data, "bounding plate side"))
+    data = chain.to_json_dict()
+    data["connections"][0]["slab_side_mm"] = -5
+    cases.append((data, "slab_side"))
     for data, field in cases:
         bad.write_text(json.dumps(data))
         assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
@@ -433,6 +436,10 @@ _PINNED_SHA256 = {
     "sweep.json": "2a15eba05eeb4e1a2d58f697782e57f0210f7373606629b3f476780aa5561b00",
     "moment.csv": "97bb6eb45c4c4b4131a75ea05c9049554923ca83410462303385cf7beed8b433",
     "states": "ddf7f048d19f4b5be9ef4df214d632134b45a467c05f6a99aee1bca3a286dacc",
+    "manip.json": "21c0800997160c6c8f8dd035b03446f9d2570cacb5560809813d6fa9ff27a7bc",
+    "manip.svg": "36ca092c13643cfca18197768b14333602b6099afbd79f508731816c33031726",
+    "manip-modular.csv": "372182c49481cfacbbae59ef0ff0c90e227e6402eaf3f31bc552ce27bf081b04",
+    "manip-translational.json": "1af1af4adfa3be6a46e6c8b6caa57beb33838e0e86bfc8ecee330ef73c68ec49",
 }
 
 
@@ -443,6 +450,11 @@ def test_table_exports_match_pinned_digests(tmp_path, capsys):
         "sweep.json": ["sweep", "--alpha-deg", "85", "--min-deg", "-120",
                        "--max-deg", "120", "--steps", "33", "--format", "json"],
         "moment.csv": ["moment", "--alpha-deg", "89"],
+        "manip.json": ["manip", "rotational"],
+        "manip.svg": ["manip", "rotational", "--schedule", "1:mpf:5,2:mpf:5",
+                      "--format", "svg", "--plane", "xz,xy"],
+        "manip-modular.csv": ["manip", "modular", "--format", "csv"],
+        "manip-translational.json": ["manip", "translational"],
     }
     got = {}
     for name, args in jobs.items():

@@ -183,6 +183,103 @@ def test_build_validations():
         build(ManipulatorSpec(units2, (Base(7), _weld(0, 1)), (0, 3, 2)))
 
 
+def test_base_slab_side_validation():
+    assert Base(0, slab_side=0.0).slab_side == 0.0  # no slab
+    for bad in (-5.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^base slab_side = "):
+            Base(0, slab_side=bad)
+
+
+def _reference_model(spec):
+    """Nodes, pairs and body partition by union-find, as build resolved them."""
+    base = next(c for c in spec.connections if isinstance(c, Base))
+    nodes = [("p", u, k) for u in range(len(spec.units)) for k in range(4)]
+    nodes += [
+        ("bp", ci)
+        for ci, c in enumerate(spec.connections)
+        if isinstance(c, BoundingPlate)
+    ]
+    if base.slab_side > 0.0:
+        nodes.append(("slab",))
+    parent = {node: node for node in nodes + ["ground"]}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    union(("p", base.unit, base.plate), "ground")
+    if base.slab_side > 0.0:
+        union(("slab",), "ground")
+    for ci, c in enumerate(spec.connections):
+        if isinstance(c, Weld):
+            union(("p", c.parent, c.parent_plate), ("p", c.child, c.child_plate))
+        elif isinstance(c, BoundingPlate):
+            union(("p", c.parent, c.parent_plate), ("bp", ci))
+            union(("bp", ci), ("p", c.child, c.child_plate))
+    folds = {
+        (("p", u, a), ("p", u, b))
+        for u in range(len(spec.units))
+        for a in range(4)
+        for b in ((a + 1) % 4, (a + 3) % 4)
+    }
+    pairs = [
+        (a, b)
+        for i, a in enumerate(nodes)
+        for b in nodes[i + 1 :]
+        if find(a) != find(b) and (a, b) not in folds
+    ]
+    bodies = {}
+    for node in nodes:
+        bodies.setdefault(find(node), set()).add(node)
+    return nodes, pairs, {frozenset(b) for b in bodies.values()}
+
+
+@st.composite
+def _tree_spec(draw):
+    """A random valid tree of 1-8 units with welds and bounding plates.
+
+    Units are attached in a random order, so the base need not be unit 0
+    and a child's index can be below its parent's; parent plates repeat,
+    giving several children on one plate; the connection list is shuffled
+    out of topological order.
+    """
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    slab = draw(st.sampled_from((0.0, 200.0)))
+    conns = [Base(order[0], draw(st.integers(0, 3)), slab_side=slab)]
+    for k in range(1, n):
+        parent = order[draw(st.integers(0, k - 1))]
+        plates = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        shift = Pose(np.eye(3), np.array([-25.0, 0.0, 0.0]))
+        if draw(st.booleans()):
+            conns.append(Weld(parent, plates[0], order[k], plates[1], shift))
+        else:
+            conns.append(
+                BoundingPlate(
+                    parent, plates[0], order[k], plates[1], 25.0, shift, shift
+                )
+            )
+    conns = draw(st.permutations(conns))
+    return ManipulatorSpec(tuple(_unit() for _ in range(n)), tuple(conns), (0, 3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree_spec())
+def test_collision_model_matches_union_find(spec):
+    manip = build(spec)
+    nodes, pairs, bodies = _reference_model(spec)
+    assert manip.nodes == nodes
+    assert manip.pairs == pairs
+    got = {}
+    for node, body in zip(manip.nodes, manip._body):
+        got.setdefault(body, set()).add(node)
+    assert {frozenset(b) for b in got.values()} == bodies
+
+
 def test_preset_shapes():
     rot = build(preset_rotational(math.radians(89), math.radians(89)))
     assert rot.dof == 2
@@ -510,17 +607,25 @@ def test_run_meta_contents():
 
 
 def test_world_vertices_and_pair_margins():
-    manip = build(preset_rotational(math.radians(89), math.radians(89)))
-    thetas = manip.semi_flat_thetas()
-    world = manip.world_vertices(thetas)
-    assert set(world.keys()) == set(manip.nodes)
-    margins = pair_margins(world, manip.pairs)
-    assert margins.shape == (len(manip.pairs),)
-    for (a, b), margin in zip(manip.pairs[:6], margins[:6]):
-        P = pad_polygons([world[a], world[b]])
-        assert polygon_margins_batch(P[:1], P[1:])[0] == pytest.approx(
-            float(margin), abs=1e-9
-        )
+    for spec in (
+        preset_rotational(math.radians(89), math.radians(89)),
+        preset_modular((_unit(), _unit())),
+    ):
+        manip = build(spec)
+        thetas = manip.semi_flat_thetas()
+        world = manip.world_vertices(thetas)
+        assert list(world) == manip.nodes
+        # Trimmed plates have 5 corners; bounding plate and slab have 4.
+        for node, verts in world.items():
+            assert verts.shape == ((5, 3) if node[0] == "p" else (4, 3))
+        margins = pair_margins(world, manip.pairs)
+        assert margins.shape == (len(manip.pairs),)
+        for (a, b), margin in zip(manip.pairs[:6], margins[:6]):
+            P = pad_polygons([world[a], world[b]])
+            assert polygon_margins_batch(P[:1], P[1:])[0] == pytest.approx(
+                float(margin), abs=1e-9
+            )
+    assert {node[0] for node in manip.nodes} == {"p", "bp", "slab"}
 
 
 def test_workspace_projection():
