@@ -343,7 +343,7 @@ def _render_svg(projections) -> str:
 def cmd_manip(args) -> int:
     gamma = math.radians(args.gamma_deg)
     extra_meta = {}
-    embedded_schedule = None
+    schedule = None
 
     if args.spec:
         try:
@@ -353,9 +353,7 @@ def cmd_manip(args) -> int:
             spec = ManipulatorSpec.from_json_dict(data)
             manip = build(spec)
             if "schedule" in data:
-                embedded_schedule = _schedule_from_json(
-                    data["schedule"], manip.dof, gamma
-                )
+                schedule = _schedule_from_json(data["schedule"], manip.dof, gamma)
         except (OSError, json.JSONDecodeError, SpecError, DomainError) as exc:
             print(f"error: invalid manipulator spec: {exc}", file=sys.stderr)
             return 4
@@ -393,24 +391,19 @@ def cmd_manip(args) -> int:
             return 2
         manip = build(spec)
 
+    # The embedded schedule, else the preset default. An inline --schedule
+    # keeps its mode; --mode overrides it.
+    if schedule is None:
+        schedule = _default_schedule(preset or "", manip.dof, gamma)
+    phases = schedule.phases
     if args.schedule:
         try:
             phases = _parse_schedule_text(args.schedule, manip.dof, gamma)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        default_mode = (
-            embedded_schedule.mode
-            if embedded_schedule is not None
-            else _default_schedule(preset or "", manip.dof, gamma).mode
-        )
-        schedule = ActivationSchedule(phases, default_mode)
-    elif embedded_schedule is not None:
-        schedule = embedded_schedule
-    else:
-        schedule = _default_schedule(preset or "", manip.dof, gamma)
-    if args.mode:
-        schedule = ActivationSchedule(schedule.phases, Mode(args.mode))
+    mode = Mode(args.mode) if args.mode else schedule.mode
+    schedule = ActivationSchedule(phases, mode)
 
     traj = run(manip, schedule, collision_clearance=args.clearance_mm)
 

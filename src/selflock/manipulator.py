@@ -20,7 +20,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -246,69 +246,46 @@ def _unit_from_json(d: dict) -> UnitSpec:
         raise SpecError(f"malformed unit spec: {exc}") from exc
 
 
+# A connection's JSON object is its "kind", then its dataclass fields in
+# order. Lengths, the float and tuple fields, carry the unit in the key;
+# a field with a default may be left out. Field types are the annotation
+# strings, as the module postpones annotations.
+_CONN_KINDS = {"weld": Weld, "bounding_plate": BoundingPlate, "base": Base}
+# Per field annotation: the JSON value of a field, and the field of a JSON value.
+_FIELD_CODECS = {
+    "int": (lambda v: v, int),
+    "float": (lambda v: v, float),
+    "Pose": (_pose_to_json, _pose_from_json),
+    "tuple": (list, lambda v: tuple(float(x) for x in v)),
+}
+
+
+def _json_key(f) -> str:
+    return f.name + "_mm" if f.type in ("float", "tuple") else f.name
+
+
 def _conn_to_json(c) -> dict:
-    if isinstance(c, Weld):
-        return {
-            "kind": "weld",
-            "parent": c.parent,
-            "parent_plate": c.parent_plate,
-            "child": c.child,
-            "child_plate": c.child_plate,
-            "rel": _pose_to_json(c.rel),
-        }
-    if isinstance(c, BoundingPlate):
-        return {
-            "kind": "bounding_plate",
-            "parent": c.parent,
-            "parent_plate": c.parent_plate,
-            "child": c.child,
-            "child_plate": c.child_plate,
-            "side_mm": c.side,
-            "attach_parent": _pose_to_json(c.attach_parent),
-            "attach_child": _pose_to_json(c.attach_child),
-        }
-    if isinstance(c, Base):
-        return {
-            "kind": "base",
-            "unit": c.unit,
-            "plate": c.plate,
-            "pose": _pose_to_json(c.pose),
-            "slab_side_mm": c.slab_side,
-            "slab_center_mm": list(c.slab_center),
-        }
+    for kind, cls in _CONN_KINDS.items():
+        if isinstance(c, cls):
+            out = {"kind": kind}
+            for f in fields(cls):
+                out[_json_key(f)] = _FIELD_CODECS[f.type][0](getattr(c, f.name))
+            return out
     raise SpecError(f"unknown connection type {type(c).__name__}")
 
 
 def _conn_from_json(d: dict):
     try:
         kind = d["kind"]
-        if kind == "weld":
-            return Weld(
-                int(d["parent"]),
-                int(d["parent_plate"]),
-                int(d["child"]),
-                int(d["child_plate"]),
-                _pose_from_json(d["rel"]),
-            )
-        if kind == "bounding_plate":
-            return BoundingPlate(
-                int(d["parent"]),
-                int(d["parent_plate"]),
-                int(d["child"]),
-                int(d["child_plate"]),
-                float(d["side_mm"]),
-                _pose_from_json(d["attach_parent"]),
-                _pose_from_json(d["attach_child"]),
-            )
-        if kind == "base":
-            return Base(
-                int(d["unit"]),
-                int(d.get("plate", 0)),
-                _pose_from_json(d["pose"]) if "pose" in d else Pose.identity(),
-                float(d.get("slab_side_mm", 0.0)),
-                tuple(float(v) for v in d.get("slab_center_mm", (0.0, 0.0, 0.0))),
-            )
-        raise SpecError(f"unknown connection kind {kind!r}")
+        cls = _CONN_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise SpecError(f"unknown connection kind {kind!r}")
+        args = {}
+        for f in fields(cls):
+            key = _json_key(f)
+            if key in d or (f.default is MISSING and f.default_factory is MISSING):
+                args[f.name] = _FIELD_CODECS[f.type][1](d[key])
+        return cls(**args)
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -407,7 +384,7 @@ class Manipulator:
 
         # Children per parent unit as (connection index, connection).
         children = {}
-        parent_conn = {}
+        has_parent = set()
         for ci, c in enumerate(spec.connections):
             if isinstance(c, Base):
                 continue
@@ -419,45 +396,37 @@ class Manipulator:
                     raise SpecError(f"connection plate index {pl} out of range")
             if c.child == c.parent:
                 raise SpecError("connection joins a unit to itself")
-            if c.child in parent_conn:
+            if c.child in has_parent:
                 raise SpecError(f"unit {c.child} attached by more than one connection")
             if c.child == self.base.unit:
                 raise SpecError("the grounded unit cannot also be a weld child")
-            parent_conn[c.child] = c
+            has_parent.add(c.child)
             children.setdefault(c.parent, []).append((ci, c))
 
-        # Every unit must reach the base through parent links, with no cycles.
-        for u in range(n):
-            seen = set()
-            cur = u
-            while cur != self.base.unit:
-                if cur in seen:
-                    raise SpecError("connection graph contains a cycle")
-                seen.add(cur)
-                conn = parent_conn.get(cur)
-                if conn is None:
-                    raise SpecError(f"unit {cur} is not connected to the base")
-                cur = conn.parent
+        # The non-base connections in topological order, parents before
+        # children: units breadth first from the base, each unit's children
+        # in connection order. The loop also visits what it appends. Every
+        # unit has at most one parent and the base has none, so the walk
+        # reaches exactly the units whose parent links lead to the base; a
+        # unit on a cycle or cut off from the base is left out.
+        self._chain = list(children.get(self.base.unit, []))
+        for _, c in self._chain:
+            self._chain.extend(children.get(c.child, []))
+        if len(self._chain) < n - 1:
+            reached = {self.base.unit} | {c.child for _, c in self._chain}
+            u = min(u for u in range(n) if u not in reached)
+            raise SpecError(f"unit {u} is not connected to the base")
 
         mu, mp, mc = spec.marker
         if not (0 <= mu < n and 0 <= mp <= 3 and 0 <= mc <= 3):
             raise SpecError(f"marker {spec.marker!r} does not resolve")
-
-        # The non-base connections in topological order, parents before
-        # children: units breadth first from the base, each unit's children
-        # in connection order. The loop also visits what it appends.
-        self._chain = list(children.get(self.base.unit, []))
-        for _, c in self._chain:
-            self._chain.extend(children.get(c.child, []))
 
         # Collision nodes and their local polygons: ("p", unit, plate) the
         # plate trimmed at the shared corner, ("bp", conn index) the square
         # in its own frame, ("slab",) the base slab already in world frame.
         self.nodes = [("p", u, k) for u in range(n) for k in range(4)]
         polys = [
-            trim_corner(plate_meshes(u.alpha, size)[k], _TRIM_MM).vertices
-            for u in spec.units
-            for k, size in enumerate(u.plate_sizes)
+            _trimmed(unit, u, k) for u, unit in enumerate(spec.units) for k in range(4)
         ]
         for ci, c in enumerate(spec.connections):
             if isinstance(c, BoundingPlate):
@@ -585,6 +554,18 @@ class Manipulator:
         return pose.apply(self._marker)
 
 
+def _trimmed(unit: UnitSpec, u: int, k: int) -> np.ndarray:
+    """Collision polygon of plate k of unit u: the plate, corner trimmed."""
+    size = unit.plate_sizes[k]
+    try:
+        return trim_corner(plate_meshes(unit.alpha, size)[k], _TRIM_MM).vertices
+    except DomainError as exc:
+        raise DomainError(
+            f"unit {u} plate {k} size {size!r} mm must exceed the "
+            f"{_TRIM_MM} mm corner trim of its collision polygon"
+        ) from exc
+
+
 def build(spec: ManipulatorSpec) -> Manipulator:
     """Validate a spec and resolve its frame chain and collision model."""
     return Manipulator(spec)
@@ -594,6 +575,11 @@ def build(spec: ManipulatorSpec) -> Manipulator:
 # Presets
 
 
+def _flush(length: float) -> Pose:
+    """The shift that lays a plate edge to edge beside one of this length."""
+    return Pose(np.eye(3), np.array([-length, 0.0, 0.0]))
+
+
 def preset_rotational(alpha1: float, alpha2: float) -> ManipulatorSpec:
     """Two Down units welded output plate to input plate, marker on the tip.
 
@@ -601,7 +587,6 @@ def preset_rotational(alpha1: float, alpha2: float) -> ManipulatorSpec:
     output plate, edges aligned, so the pair forms a planar two-link arm
     whose joints are the two origami output folds.
     """
-    m = M_DEFAULT
     units = (
         UnitSpec(alpha1, Configuration.DOWN),
         UnitSpec(alpha2, Configuration.DOWN),
@@ -613,7 +598,7 @@ def preset_rotational(alpha1: float, alpha2: float) -> ManipulatorSpec:
             parent_plate=3,
             child=1,
             child_plate=0,
-            rel=Pose(np.eye(3), np.array([-m, 0.0, 0.0])),
+            rel=_flush(M_DEFAULT),
         ),
     )
     return ManipulatorSpec(units, connections, (1, 3, 2))
@@ -630,6 +615,13 @@ def preset_translational(alpha: float, gamma: float, d: float) -> ManipulatorSpe
     kinematics.
     """
     f, q = translational_link_lengths(gamma, d)
+    if not min(f, q) > _TRIM_MM:
+        bound = _TRIM_MM * max(math.tan(gamma), math.cos(gamma))
+        raise DomainError(
+            f"d = {d!r} leaves a zigzag plate (f = {f:.6g}, q = {q:.6g} mm) "
+            f"no longer than the {_TRIM_MM} mm corner trim; d must exceed "
+            f"{bound:.6g} mm at gamma = {math.degrees(gamma):.6g} deg"
+        )
     m = M_DEFAULT
     fan = 0.5 * m
     down, up = Configuration.DOWN, Configuration.UP
@@ -648,7 +640,7 @@ def preset_translational(alpha: float, gamma: float, d: float) -> ManipulatorSpe
                 parent_plate=3,
                 child=k + 1,
                 child_plate=0,
-                rel=Pose(np.eye(3), np.array([-length, 0.0, 0.0])),
+                rel=_flush(length),
             )
         )
     return ManipulatorSpec(units, tuple(connections), (3, 3, 2))
@@ -711,7 +703,7 @@ def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> Manipulator
                     child=child,
                     child_plate=0,
                     side=s,
-                    attach_parent=Pose(np.eye(3), np.array([-p4, 0.0, 0.0])),
+                    attach_parent=_flush(p4),
                     attach_child=Pose(
                         np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
                         np.array([-s, s + lc, 0.0]),
@@ -725,7 +717,7 @@ def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> Manipulator
                     parent_plate=3,
                     child=child,
                     child_plate=0,
-                    rel=Pose(np.eye(3), np.array([-p4, 0.0, 0.0])),
+                    rel=_flush(p4),
                 )
             )
     return ManipulatorSpec(units, tuple(connections), (0, 3, 2))

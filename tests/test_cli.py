@@ -341,6 +341,10 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     data = chain.to_json_dict()
     data["connections"][0]["slab_side_mm"] = -5
     cases.append((data, "slab_side"))
+    # A plate no longer than the 2 mm corner trim of the collision mesh.
+    data = chain.to_json_dict()
+    data["units"][1]["plate_m_mm"] = [25.0, 25.0, 25.0, 1.5]
+    cases.append((data, "unit 1 plate 3 size 1.5"))
     for data, field in cases:
         bad.write_text(json.dumps(data))
         assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
@@ -372,6 +376,16 @@ def test_non_finite_numbers_exit3(capsys):
     assert "Traceback" not in captured.err
     assert captured.err.count("error:") == 8
     assert captured.err.count("error: d = ") == 2
+
+
+def test_manip_translational_small_d_exit3(capsys):
+    # At gamma 36.5 deg the plate q = d / cos(gamma) reaches the 2 mm corner
+    # trim at d = 1.6077 mm; the error names d and that bound.
+    assert main(["manip", "translational", "--d-mm", "1.6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: d = 1.6 ")
+    assert "1.6077" in captured.err and "Traceback" not in captured.err
 
 
 def test_grid_out_of_memory_exit3(monkeypatch, capsys):
@@ -440,10 +454,21 @@ _PINNED_SHA256 = {
     "manip.svg": "36ca092c13643cfca18197768b14333602b6099afbd79f508731816c33031726",
     "manip-modular.csv": "372182c49481cfacbbae59ef0ff0c90e227e6402eaf3f31bc552ce27bf081b04",
     "manip-translational.json": "1af1af4adfa3be6a46e6c8b6caa57beb33838e0e86bfc8ecee330ef73c68ec49",
+    "manip-spec.json": "135df1648d37768373679e36fa86dd2ef17d3fab609af1038841fafca6ee7b1c",
 }
 
 
 def test_table_exports_match_pinned_digests(tmp_path, capsys):
+    from selflock import Configuration, UnitSpec, preset_modular
+
+    # A dumped modular-4 spec has a weld, a bounding plate and a base slab.
+    unit = UnitSpec(math.radians(89), Configuration.DOWN)
+    data = preset_modular((unit,) * 4).to_json_dict()
+    data["schedule"] = {"mode": "sequential", "phases": [
+        {"unit": k, "target": "mpf", "steps": 6} for k in range(4)
+    ]}
+    spec = tmp_path / "modular4.json"
+    spec.write_text(json.dumps(data))
     jobs = {
         "sweep.csv": ["sweep", "--alpha-deg", "89", "--min-deg", "-170",
                       "--max-deg", "170", "--steps", "69"],
@@ -455,6 +480,7 @@ def test_table_exports_match_pinned_digests(tmp_path, capsys):
                       "--format", "svg", "--plane", "xz,xy"],
         "manip-modular.csv": ["manip", "modular", "--format", "csv"],
         "manip-translational.json": ["manip", "translational"],
+        "manip-spec.json": ["manip", "--spec", str(spec)],
     }
     got = {}
     for name, args in jobs.items():

@@ -1,5 +1,6 @@
 """Manipulator assembly, presets, schedule runs, and trajectory export."""
 
+import hashlib
 import json
 import math
 import re
@@ -73,14 +74,35 @@ def test_unit_spec_validation():
             UnitSpec(math.radians(85), UP, 25.0, (1.0, bad, 3.0, 4.0))
 
 
+# Per preset: spec_sha256, and the sha256 of json.dumps(to_json_dict())
+# without sorted keys, which also pins the key order of every object.
+_PRESET_SPEC_SHA256 = {
+    "rotational": (
+        "3db74c7a3a5b86cdc8351679977da42e63eb821ccb99bba1fca8f9b568e65031",
+        "aedc9bf3c175e5d04fa9575f131575b6d4e08da2ee720538d4a79323c2d84aea",
+    ),
+    "translational": (
+        "4099fce1f0cfb5104b20154a2873b87e8486c4068a3cd71636bc48fd96179c59",
+        "892031164f3336f1471b1b839dada03fd9fbb951906d391c35a89393c47b10ce",
+    ),
+    "modular": (
+        "3c231e50d933aabe85e51c062836cd6e5c25bd599c83f07de28694bc4a943038",
+        "7918b94b1a112ff7499715664e9d0cd4bcb01b5177975027067c6f363a97e9a6",
+    ),
+}
+
+
 def test_spec_json_round_trip():
-    for spec in (
-        preset_rotational(math.radians(89), math.radians(85)),
-        preset_translational(math.radians(89), GAMMA, 25.0),
-        preset_modular(tuple(_unit() for _ in range(4))),
+    for name, spec in (
+        ("rotational", preset_rotational(math.radians(89), math.radians(85))),
+        ("translational", preset_translational(math.radians(89), GAMMA, 25.0)),
+        ("modular", preset_modular(tuple(_unit() for _ in range(4)))),
     ):
         data = spec.to_json_dict()
+        unsorted = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+        assert (spec_sha256(spec), unsorted) == _PRESET_SPEC_SHA256[name]
         back = ManipulatorSpec.from_json_dict(data)
+        assert back.to_json_dict() == data
         assert spec_sha256(back) == spec_sha256(spec)
         assert back.marker == spec.marker
         assert len(back.units) == len(spec.units)
@@ -181,6 +203,85 @@ def test_build_validations():
         build(ManipulatorSpec(units2, (Base(0), _weld(0, 1)), (2, 3, 2)))
     with pytest.raises(SpecError):  # base out of range
         build(ManipulatorSpec(units2, (Base(7), _weld(0, 1)), (0, 3, 2)))
+
+
+def _rejects_graph(n, base, links):
+    """Whether a parent walk from every unit rejects (parent, child) links.
+
+    The graph is valid when no unit is joined to itself, no unit has two
+    parents, the grounded unit has none, and every unit's parent links
+    lead to the grounded unit without revisiting a unit.
+    """
+    parent = {}
+    for p, c in links:
+        if c == p or c in parent or c == base:
+            return True
+        parent[c] = p
+    for u in range(n):
+        seen = set()
+        while u != base:
+            if u in seen or u not in parent:
+                return True
+            seen.add(u)
+            u = parent[u]
+    return False
+
+
+@st.composite
+def _any_graph(draw):
+    """A random tree of 1-8 units, then up to three edits to its links.
+
+    An edit drops a link (an orphan), adds a link between any two units
+    (a double parent, a self-join, or a grounded child), moves a link's
+    parent to any unit, or hangs a link from a unit below its own child
+    (a cycle). The base goes anywhere in the list.
+    """
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    links = [[order[draw(st.integers(0, k - 1))], order[k]] for k in range(1, n)]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "add", "move", "loop")))
+        if edit == "add" or not links:
+            links.append([draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))])
+            continue
+        link = links[draw(st.integers(0, len(links) - 1))]
+        if edit == "drop":
+            links.remove(link)
+        elif edit == "move":
+            link[0] = draw(st.integers(0, n - 1))
+        else:
+            below = [link[1]]
+            for unit in below:
+                below += [c for p, c in links if p == unit and c not in below]
+            link[0] = draw(st.sampled_from(below[1:] or below))
+    shift = Pose(np.eye(3), np.array([-25.0, 0.0, 0.0]))
+    conns = []
+    for parent, child in links:
+        plates = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            conns.append(Weld(parent, plates[0], child, plates[1], shift))
+        else:
+            conns.append(
+                BoundingPlate(
+                    parent, plates[0], child, plates[1], 25.0, shift, shift
+                )
+            )
+    base = Base(order[0], draw(st.integers(0, 3)))
+    conns.insert(draw(st.integers(0, len(conns))), base)
+    spec = ManipulatorSpec(tuple(_unit() for _ in range(n)), tuple(conns), (0, 3, 2))
+    return spec, _rejects_graph(n, order[0], links)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_graph())
+def test_build_rejects_exactly_the_invalid_graphs(case):
+    spec, rejected = case
+    if rejected:
+        with pytest.raises(SpecError):
+            build(spec)
+    else:
+        manip = build(spec)
+        assert len(manip._chain) == len(spec.units) - 1
 
 
 def test_base_slab_side_validation():
@@ -329,9 +430,13 @@ def test_translational_link_lengths():
 def test_preset_translational_validation():
     with pytest.raises(DomainError):
         preset_translational(math.radians(89), math.pi / 2, 25.0)
-    for bad in (0.0, math.nan, math.inf):
+    # 0.5 and 1.6 leave a zigzag plate no longer than the 2 mm corner trim.
+    for bad in (0.0, 0.5, 1.6, math.nan, math.inf):
         with pytest.raises(DomainError, match="^d = "):
             preset_translational(math.radians(89), GAMMA, bad)
+    with pytest.raises(DomainError, match="must exceed 1.6077"):
+        preset_translational(math.radians(89), GAMMA, 1.6)
+    build(preset_translational(math.radians(89), GAMMA, 1.61))
 
 
 def _mpf_schedule(n, steps=60):
