@@ -28,8 +28,8 @@ from .manipulator import (
     Mode,
     MPF,
     OutputAngle,
+    PLANES,
     Phase,
-    SemiFlat,
     SpecError,
     build,
     preset_modular,
@@ -43,7 +43,6 @@ from .manipulator import (
 
 _SWEEP_COLUMNS = ("theta1_deg", "theta2_deg", "theta3_deg", "theta4_deg")
 _MOMENT_COLUMNS = ("theta1_deg", "S_rad", "M_input_Nm", "MA", "M_output_Nm")
-_DEFAULT_STEPS = 60
 
 
 def _csv(columns, rows) -> str:
@@ -163,24 +162,11 @@ def _parse_alpha_list(text: str):
     return vals
 
 
-def _phase_target(name: str, gamma: float, angle_deg=None):
-    """Phase target by name: mpf (at gamma), semiflat, or out (at angle_deg)."""
-    key = name.lower()
-    if key == "mpf":
-        return MPF(gamma)
-    if key == "semiflat":
-        return SemiFlat()
-    if key == "out":
-        if angle_deg is None:
-            raise ValueError("out target needs an angle")
-        return OutputAngle(math.radians(float(angle_deg)))
-    raise ValueError(f"unknown phase target {name!r}")
-
-
 def _parse_schedule_text(text: str, n: int, gamma: float):
     """Inline schedule: comma-joined unit:target[:steps], units 1-based.
 
-    Targets are mpf, semiflat, or out<degrees> (e.g. out90).
+    Targets are mpf, semiflat, or out<degrees> (e.g. out90). Each item is
+    read as the spec file phase it spells.
     """
     phases = []
     for item in text.split(","):
@@ -190,39 +176,15 @@ def _parse_schedule_text(text: str, n: int, gamma: float):
         unit = int(parts[0]) - 1
         if not 0 <= unit < n:
             raise ValueError(f"phase unit {parts[0]} outside 1..{n}")
-        name, angle = parts[1], None
-        if name.lower().startswith("out"):
-            name, angle = name[:3], name[3:]
-        target = _phase_target(name, gamma, angle)
-        steps = int(parts[2]) if len(parts) == 3 else _DEFAULT_STEPS
-        if steps < 1:
-            raise ValueError("phase steps must be positive")
-        phases.append(Phase(unit, target, steps))
-    if not phases:
-        raise ValueError("empty schedule")
-    return tuple(phases)
-
-
-def _schedule_from_json(data: dict, n: int, gamma: float) -> ActivationSchedule:
-    if not isinstance(data, dict):
-        raise SpecError(f"schedule must be a JSON object, got {data!r}")
-    try:
-        mode = Mode(str(data.get("mode", "sequential")).lower())
-        phases = []
-        for ph in data["phases"]:
-            unit = int(ph["unit"])
-            if not 0 <= unit < n:
-                raise SpecError(f"schedule unit {unit} outside 0..{n - 1}")
-            g = math.radians(float(ph["gamma_deg"])) if "gamma_deg" in ph else gamma
-            target = _phase_target(str(ph["target"]), g, ph.get("angle_deg"))
-            phases.append(Phase(unit, target, int(ph.get("steps", _DEFAULT_STEPS))))
-        if not phases:
-            raise SpecError("schedule has no phases")
-        return ActivationSchedule(tuple(phases), mode)
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"malformed schedule: {exc}") from exc
+        phase = {"unit": unit, "target": parts[1].lower()}
+        if phase["target"].startswith("out"):
+            phase["target"], phase["angle_deg"] = "out", float(parts[1][3:])
+        if len(parts) == 3:
+            phase["steps"] = int(parts[2])
+            if phase["steps"] < 1:
+                raise ValueError("phase steps must be positive")
+        phases.append(phase)
+    return ActivationSchedule.from_json_dict({"phases": phases}, n, gamma, "--schedule")
 
 
 _PRESET_ALPHAS = {
@@ -235,22 +197,22 @@ _PRESET_ALPHAS = {
 def _default_schedule(preset: str, n: int, gamma: float) -> ActivationSchedule:
     if preset == "rotational":
         return ActivationSchedule(
-            (Phase(0, MPF(gamma), _DEFAULT_STEPS), Phase(1, MPF(gamma), _DEFAULT_STEPS)),
+            (Phase(0, MPF(gamma)), Phase(1, MPF(gamma))),
             Mode.SEQUENTIAL,
         )
     if preset == "translational":
         half = math.pi / 2
         return ActivationSchedule(
             (
-                Phase(0, OutputAngle(half), _DEFAULT_STEPS),
-                Phase(1, MPF(gamma), _DEFAULT_STEPS),
-                Phase(2, MPF(gamma), _DEFAULT_STEPS),
-                Phase(3, OutputAngle(half), _DEFAULT_STEPS),
+                Phase(0, OutputAngle(half)),
+                Phase(1, MPF(gamma)),
+                Phase(2, MPF(gamma)),
+                Phase(3, OutputAngle(half)),
             ),
             Mode.SIMULTANEOUS,
         )
     return ActivationSchedule(
-        tuple(Phase(i, MPF(gamma), _DEFAULT_STEPS) for i in range(n)),
+        tuple(Phase(i, MPF(gamma)) for i in range(n)),
         Mode.SEQUENTIAL,
     )
 
@@ -341,6 +303,10 @@ def _render_svg(projections) -> str:
 
 
 def cmd_manip(args) -> int:
+    planes = [p.strip().lower() for p in args.plane.split(",") if p.strip()]
+    if not planes or not set(planes) <= PLANES.keys():
+        print(f"error: --plane {args.plane!r} must list xy, yz or xz", file=sys.stderr)
+        return 2
     gamma = math.radians(args.gamma_deg)
     extra_meta = {}
     schedule = None
@@ -353,7 +319,9 @@ def cmd_manip(args) -> int:
             spec = ManipulatorSpec.from_json_dict(data)
             manip = build(spec)
             if "schedule" in data:
-                schedule = _schedule_from_json(data["schedule"], manip.dof, gamma)
+                schedule = ActivationSchedule.from_json_dict(
+                    data["schedule"], manip.dof, gamma, "spec.schedule"
+                )
         except (OSError, json.JSONDecodeError, SpecError, DomainError) as exc:
             print(f"error: invalid manipulator spec: {exc}", file=sys.stderr)
             return 4
@@ -398,7 +366,7 @@ def cmd_manip(args) -> int:
     phases = schedule.phases
     if args.schedule:
         try:
-            phases = _parse_schedule_text(args.schedule, manip.dof, gamma)
+            phases = _parse_schedule_text(args.schedule, manip.dof, gamma).phases
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -412,11 +380,7 @@ def cmd_manip(args) -> int:
     elif args.format == "csv":
         text = _trajectory_csv(traj)
     else:
-        planes = [p.strip() for p in args.plane.split(",") if p.strip()]
-        if not planes:
-            print("error: --plane lists no projection", file=sys.stderr)
-            return 2
-        projections = [(p.lower(), workspace_projection(traj, p)) for p in planes]
+        projections = [(p, workspace_projection(traj, p)) for p in planes]
         text = _render_svg(projections)
     _write(args.out, text)
     return 0

@@ -20,7 +20,9 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+import sys
+from dataclasses import MISSING, astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +49,7 @@ GAMMA_DEFAULT = math.radians(36.5)
 CLEARANCE_DEFAULT = 0.1
 _TRIM_MM = 2.0
 AXES_NOTE = "u12=+x,u41=+y,ground z=0"
+Angle = float  # radians, which a spec file writes in degrees
 
 
 class SpecError(ValueError):
@@ -62,7 +65,7 @@ class UnitSpec:
     sized by the zigzag geometry). Overrides never change central angles.
     """
 
-    alpha: float
+    alpha: Angle
     config: Configuration
     m: float = M_DEFAULT
     plate_m: tuple = None
@@ -169,127 +172,21 @@ class ManipulatorSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "units": [_unit_to_json(u) for u in self.units],
+            "units": [_to_json(u) for u in self.units],
             "connections": [_conn_to_json(c) for c in self.connections],
-            "marker": {
-                "unit": self.marker[0],
-                "plate": self.marker[1],
-                "corner": self.marker[2],
-            },
+            "marker": _to_json(_Marker(*self.marker)),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ManipulatorSpec":
-        _check_finite(data, "spec")
-        try:
-            units = tuple(_unit_from_json(u) for u in data["units"])
-            conns = tuple(_conn_from_json(c) for c in data["connections"])
-            mk = data["marker"]
-            marker = (int(mk["unit"]), int(mk["plate"]), int(mk["corner"]))
-        except SpecError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise SpecError(f"malformed manipulator spec: {exc}") from exc
-        return cls(units, conns, marker)
-
-
-def _check_finite(node, path: str) -> None:
-    """Raise SpecError naming the first non-finite number in parsed JSON.
-
-    json.loads reads NaN and Infinity, and reads an overflowing literal
-    such as 1e400 as inf; no field of a spec file may hold any of them.
-    """
-    if isinstance(node, float):
-        if not math.isfinite(node):
-            raise SpecError(f"non-finite number {node!r} at {path}")
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, f"{path}.{key}")
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _check_finite(value, f"{path}[{i}]")
-
-
-def _pose_to_json(p: Pose) -> dict:
-    return {"r": [[float(v) for v in row] for row in p.r], "t_mm": [float(v) for v in p.t]}
-
-
-def _pose_from_json(d: dict) -> Pose:
-    try:
-        return Pose(np.array(d["r"], dtype=float), np.array(d["t_mm"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed pose: {exc}") from exc
-
-
-def _unit_to_json(u: UnitSpec) -> dict:
-    out = {
-        "alpha_deg": math.degrees(u.alpha),
-        "config": u.config.value,
-        "m_mm": u.m,
-    }
-    if u.plate_m is not None:
-        out["plate_m_mm"] = list(u.plate_m)
-    return out
-
-
-def _unit_from_json(d: dict) -> UnitSpec:
-    try:
-        return UnitSpec(
-            alpha=math.radians(float(d["alpha_deg"])),
-            config=Configuration(str(d["config"]).lower()),
-            m=float(d.get("m_mm", M_DEFAULT)),
-            plate_m=tuple(d["plate_m_mm"]) if "plate_m_mm" in d else None,
+        """The spec of a parsed spec file; its "schedule" is read apart."""
+        keys = ("units", "connections", "marker")
+        d = _object(data, "spec", keys + ("schedule",), keys)
+        return cls(
+            _array(d["units"], "spec.units", partial(_from_json, UnitSpec)),
+            _array(d["connections"], "spec.connections", _conn_from_json),
+            astuple(_from_json(_Marker, d["marker"], "spec.marker")),
         )
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed unit spec: {exc}") from exc
-
-
-# A connection's JSON object is its "kind", then its dataclass fields in
-# order. Lengths, the float and tuple fields, carry the unit in the key;
-# a field with a default may be left out. Field types are the annotation
-# strings, as the module postpones annotations.
-_CONN_KINDS = {"weld": Weld, "bounding_plate": BoundingPlate, "base": Base}
-# Per field annotation: the JSON value of a field, and the field of a JSON value.
-_FIELD_CODECS = {
-    "int": (lambda v: v, int),
-    "float": (lambda v: v, float),
-    "Pose": (_pose_to_json, _pose_from_json),
-    "tuple": (list, lambda v: tuple(float(x) for x in v)),
-}
-
-
-def _json_key(f) -> str:
-    return f.name + "_mm" if f.type in ("float", "tuple") else f.name
-
-
-def _conn_to_json(c) -> dict:
-    for kind, cls in _CONN_KINDS.items():
-        if isinstance(c, cls):
-            out = {"kind": kind}
-            for f in fields(cls):
-                out[_json_key(f)] = _FIELD_CODECS[f.type][0](getattr(c, f.name))
-            return out
-    raise SpecError(f"unknown connection type {type(c).__name__}")
-
-
-def _conn_from_json(d: dict):
-    try:
-        kind = d["kind"]
-        cls = _CONN_KINDS.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise SpecError(f"unknown connection kind {kind!r}")
-        args = {}
-        for f in fields(cls):
-            key = _json_key(f)
-            if key in d or (f.default is MISSING and f.default_factory is MISSING):
-                args[f.name] = _FIELD_CODECS[f.type][1](d[key])
-        return cls(**args)
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"malformed connection: {exc}") from exc
 
 
 def spec_sha256(spec: ManipulatorSpec) -> str:
@@ -306,7 +203,7 @@ def spec_sha256(spec: ManipulatorSpec) -> str:
 class MPF:
     """Fold until |theta4| reaches gamma (maximum possible fold)."""
 
-    gamma: float = GAMMA_DEFAULT
+    gamma: Angle = GAMMA_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -318,14 +215,14 @@ class SemiFlat:
 class OutputAngle:
     """Fold until |theta4| reaches the given magnitude."""
 
-    angle: float
+    angle: Angle
 
 
 @dataclass(frozen=True)
 class Phase:
     unit: int
     target: object
-    steps: int
+    steps: int = 60
 
 
 class Mode(enum.Enum):
@@ -341,8 +238,18 @@ class ActivationSchedule:
     interpolates all phase targets in lockstep over a shared step grid.
     """
 
-    phases: tuple
+    phases: tuple[Phase, ...]
     mode: Mode = Mode.SEQUENTIAL
+
+    @classmethod
+    def from_json_dict(cls, data, n: int, gamma: float, path: str):
+        """The schedule at path in an n-unit spec file; MPF gamma defaults to gamma."""
+        d = _object(data, path, ("mode", "phases"), ("phases",))
+        phase = partial(_phase_from_json, n=n, gamma=gamma)
+        phases = _array(d["phases"], f"{path}.phases", phase)
+        if not phases:
+            raise SpecError(f"{path}.phases: schedule has no phases")
+        return _from_json(cls, d, path, phases=phases)
 
 
 def _target_theta1(target, alpha: float, config: Configuration) -> float:
@@ -353,6 +260,138 @@ def _target_theta1(target, alpha: float, config: Configuration) -> float:
     if isinstance(target, OutputAngle):
         return theta1_of_theta4(alpha, config.sign * target.angle, config)
     raise SpecError(f"unknown phase target {target!r}")
+
+
+# ---------------------------------------------------------------------------
+# Spec file JSON. A decoder takes a value and its path in the file, and the
+# SpecError it raises names that path.
+
+
+def _object(v, path: str, keys, required) -> dict:
+    """v as a JSON object holding every required key and no key outside keys."""
+    if not isinstance(v, dict):
+        raise SpecError(f"{path}: expected a JSON object, got {v!r}")
+    for key in required:
+        if key not in v:
+            raise SpecError(f"{path}: missing key {key!r}")
+    for key in v:
+        if key not in keys:
+            raise SpecError(f"{path}: unknown key {key!r}")
+    return v
+
+
+def _array(v, path: str, item) -> tuple:
+    """A JSON array, each element read by item(element, its path)."""
+    if not isinstance(v, list):
+        raise SpecError(f"{path}: expected an array, got {v!r}")
+    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
+def _number(v, path: str) -> float:
+    """A finite JSON number that is not a bool (json.loads reads NaN, 1e400)."""
+    if type(v) not in (int, float):
+        raise SpecError(f"{path}: expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:
+        raise SpecError(f"non-finite number {v!r} at {path}")
+    return float(v)
+
+
+def _index(v, path: str) -> int:
+    """An index or count: an integral JSON number that is not a bool."""
+    if not _number(v, path).is_integer():
+        raise SpecError(f"{path}: expected an integral number, got {v!r}")
+    return int(v)
+
+
+def _built(cls, path: str, *args):
+    """cls(*args), a ValueError it raises naming path."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+
+
+def _pose(v, path: str) -> Pose:
+    d = _object(v, path, ("r", "t_mm"), ("r", "t_mm"))
+    r = _array(d["r"], f"{path}.r", _numbers)
+    return _built(Pose, path, r, _numbers(d["t_mm"], f"{path}.t_mm"))
+
+
+_numbers = partial(_array, item=_number)
+# Annotation (a string, as annotations are postponed): key suffix, encoder, decoder.
+_CODECS = {
+    "int": ("", lambda v: v, _index),
+    "float": ("_mm", lambda v: v, _number),
+    "tuple": ("_mm", list, _numbers),
+    "Angle": ("_deg", math.degrees, lambda v, p: math.radians(_number(v, p))),
+    "Pose": ("", lambda p: {"r": p.r.tolist(), "t_mm": p.t.tolist()}, _pose),
+    "Configuration": ("", lambda e: e.value, lambda v, p: _built(Configuration, p, v)),
+    "Mode": ("", lambda e: e.value, lambda v, p: _built(Mode, p, v)),
+}
+
+
+def _to_json(obj) -> dict:
+    """obj's fields in order, each under its key; a None field is left out."""
+    items = [(f.name, _CODECS[f.type], getattr(obj, f.name)) for f in fields(obj)]
+    return {name + c[0]: c[1](v) for name, c, v in items if v is not None}
+
+
+def _from_json(cls, d, path: str, *other: str, **defaults):
+    """The dataclass cls read from the JSON object d at path, allowing keys in other.
+
+    A field absent from d, or without a codec, takes its value from defaults,
+    else from its own default.
+    """
+    keys, required, args = list(other), [], {}
+    for f in fields(cls):
+        codec = _CODECS.get(f.type)
+        keys.append(f.name + codec[0] if codec else f.name)
+        if f.name in defaults:
+            args[f.name] = defaults[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            required.append(keys[-1])
+    _object(d, path, keys, required)
+    for f, key in zip(fields(cls), keys[len(other):]):
+        if key in d and f.type in _CODECS:
+            args[f.name] = _CODECS[f.type][2](d[key], f"{path}.{key}")
+    return cls(**args)
+
+
+def _kinded(kinds: dict, key: str, d, path: str, *other: str, **defaults):
+    """The dataclass that d[key] names among kinds, read from the rest of d."""
+    name = _object(d, path, d, (key,))[key]
+    if not isinstance(name, str) or name not in kinds:
+        raise SpecError(f"{path}.{key}: expected one of {list(kinds)}, got {name!r}")
+    return _from_json(kinds[name], d, path, key, *other, **defaults)
+
+
+_CONN_KINDS = {"weld": Weld, "bounding_plate": BoundingPlate, "base": Base}
+_TARGETS = {"mpf": MPF, "semiflat": SemiFlat, "out": OutputAngle}
+_conn_from_json = partial(_kinded, _CONN_KINDS, "kind")
+
+
+@dataclass(frozen=True)
+class _Marker:
+    unit: int
+    plate: int
+    corner: int
+
+
+def _conn_to_json(c) -> dict:
+    for kind, cls in _CONN_KINDS.items():
+        if isinstance(c, cls):
+            return {"kind": kind, **_to_json(c)}
+    raise SpecError(f"unknown connection type {type(c).__name__}")
+
+
+def _phase_from_json(d, path: str, n: int, gamma: float) -> Phase:
+    """A phase: unit, target kind and that target's fields, and steps."""
+    target = _kinded(_TARGETS, "target", d, path, "unit", "steps", gamma=gamma)
+    keys = _to_json(target)
+    phase = _from_json(Phase, d, path, *keys, target=target)
+    if not 0 <= phase.unit < n:
+        raise SpecError(f"{path}.unit: unit {phase.unit} outside 0..{n - 1}")
+    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -902,15 +941,15 @@ def run(
     return Trajectory(tuple(frames), meta)
 
 
-_PLANES = {"xy": (0, 1), "yz": (1, 2), "xz": (0, 2)}
+PLANES = {"xy": (0, 1), "yz": (1, 2), "xz": (0, 2)}
 
 
 def workspace_projection(traj: Trajectory, plane: str) -> np.ndarray:
     """Marker positions projected onto a coordinate plane, frame order kept."""
     key = str(plane).lower()
-    if key not in _PLANES:
+    if key not in PLANES:
         raise DomainError(f"plane {plane!r} not one of XY, YZ, XZ")
     if len(traj.frames) == 0:
         raise DomainError("trajectory has no frames")
-    i, j = _PLANES[key]
+    i, j = PLANES[key]
     return np.array([[f.marker[i], f.marker[j]] for f in traj.frames])

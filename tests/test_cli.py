@@ -80,7 +80,11 @@ def test_bad_flags_exit2(capsys):
                  "--min-deg", "-10", "--max-deg", "10", "--steps", "3"]) == 2
     assert main(["sweep", "--alpha-deg", "89"]) == 2
     assert main(["nonsense"]) == 2
-    capsys.readouterr()
+    # Plane names are flags, checked before the schedule runs.
+    for plane in ("qq", "", "xz,qq"):
+        assert main(["manip", "rotational", "--format", "svg", "--plane", plane]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: --plane ") == 3
 
 
 def test_moment_csv_defaults(capsys):
@@ -345,21 +349,75 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     data = chain.to_json_dict()
     data["units"][1]["plate_m_mm"] = [25.0, 25.0, 25.0, 1.5]
     cases.append((data, "unit 1 plate 3 size 1.5"))
+    # Each field takes only its own JSON type: an index is an integral
+    # number, a length a number, a tuple an array of numbers, an enum one of
+    # its strings. These built or ran with a truncated or split value.
+    phase = {"unit": 0, "target": "mpf", "steps": 2}
+    for path, value in (
+        (("units", 0, "plate_m_mm"), "9999"),
+        (("units", 0, "alpha_deg"), "89"),
+        (("units", 0, "m_mm"), True),
+        (("units", 0, "config"), "UP"),
+        (("connections", 1, "child"), 1.9),
+        (("connections", 1, "child"), True),
+        (("marker", "plate"), 3.7),
+        (("schedule", "phases", 0, "unit"), 1.9),
+        (("schedule", "phases", 0, "steps"), 2.5),
+        (("schedule", "phases", 0, "steps"), "3"),
+        (("schedule", "phases", 0, "target"), "MPF"),
+        (("schedule", "mode"), "SIMULTANEOUS"),
+    ):
+        data = {**chain.to_json_dict(), "schedule": {"phases": [dict(phase)]}}
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cases.append((data, "spec" + "".join(
+            f"[{k}]" if isinstance(k, int) else f".{k}" for k in path
+        ) + ": "))
+    # A key that no field reads, such as a misspelled optional one, is an
+    # error that names it; "slab_sid_mm" used to drop the base slab.
+    for where, key in (("", "extra"), (".units[1]", "plate_mm"),
+                       (".connections[0]", "slab_sid_mm"),
+                       (".connections[1].attach_child", "s"),
+                       (".marker", "face"), (".schedule", "phase"),
+                       (".schedule.phases[0]", "gama_deg")):
+        data = {**chain.to_json_dict(), "schedule": {"phases": [dict(phase)]}}
+        node = data
+        for part in where.replace("[", ".").replace("]", "").split(".")[1:]:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[key] = 1
+        cases.append((data, f"spec{where}: unknown key {key!r}"))
     for data, field in cases:
         bad.write_text(json.dumps(data))
         assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
     assert not out.exists()
+    # An integral float is still an index.
+    data = chain.to_json_dict()
+    data["connections"][1]["child"] = 0.0
+    data["marker"]["plate"] = 3.0
+    bad.write_text(json.dumps(data))
+    assert main(["manip", "--spec", str(bad), "--schedule", "1:mpf:2"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    from selflock import spec_sha256
+
+    assert meta["spec_sha256"] == spec_sha256(chain)
 
 
 def test_schedule_from_json_infinite_integer():
-    # Called on its own, the schedule parser turns int(inf)'s OverflowError
-    # into a SpecError like any other malformed field.
-    for phase in ({"unit": math.inf, "target": "mpf"},
-                  {"unit": 0, "target": "mpf", "steps": -math.inf}):
-        with pytest.raises(cli.SpecError, match="malformed schedule: .*infinity"):
-            cli._schedule_from_json({"phases": [phase]}, 2, math.radians(36.5))
+    # Called on its own, the schedule decoder rejects an infinite integer
+    # field like any other malformed field, naming it.
+    from selflock import ActivationSchedule
+
+    for phase, key in (({"unit": math.inf, "target": "mpf"}, "unit"),
+                       ({"unit": 0, "target": "mpf", "steps": -math.inf}, "steps")):
+        pattern = rf"^non-finite number -?inf at spec\.schedule\.phases\[0\]\.{key}$"
+        with pytest.raises(cli.SpecError, match=pattern):
+            ActivationSchedule.from_json_dict(
+                {"phases": [phase]}, 2, math.radians(36.5), "spec.schedule"
+            )
 
 
 def test_non_finite_numbers_exit3(capsys):

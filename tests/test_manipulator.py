@@ -148,11 +148,12 @@ def test_spec_json_non_finite():
             )
             with pytest.raises(SpecError, match=re.escape(where) + "$"):
                 ManipulatorSpec.from_json_dict(data)
-    # The connection parser on its own turns the OverflowError of an
-    # infinite integer field into a SpecError too.
+    # The connection decoder on its own rejects an infinite integer field
+    # too, naming it.
     weld = {**good["connections"][1], "child": math.inf}
-    with pytest.raises(SpecError, match="infinity"):
-        _conn_from_json(weld)
+    where = r"spec\.connections\[1\]\.child"
+    with pytest.raises(SpecError, match=rf"^non-finite number inf at {where}$"):
+        _conn_from_json(weld, "spec.connections[1]")
 
 
 def test_spec_sha256_stable_and_sensitive():
