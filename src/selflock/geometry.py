@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import CentralAngles, Configuration, DomainError, JointState, joint_state
+from .linkage import (
+    CentralAngles,
+    Configuration,
+    DomainError,
+    JointState,
+    theta3_up,
+    theta4_up,
+)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -45,32 +52,35 @@ def _e(phi: float) -> np.ndarray:
     return np.array([math.cos(phi), math.sin(phi), 0.0])
 
 
-def _unit_axis(axis) -> tuple:
-    """The components of axis / |axis| as floats; a zero axis is rejected."""
+def _axis_terms(axis) -> tuple:
+    """(k k^T, [k]x) of the unit vector k along axis; a zero axis is rejected.
+
+    [k]x is the cross-product matrix, [k]x v = k x v.
+    """
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
     if n < 1e-12:
         raise DomainError("rotation axis must be nonzero")
-    return tuple((axis / n).tolist())
+    x, y, z = k = axis / n
+    return np.multiply.outer(k, k), np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
     """Rotation matrix about an arbitrary axis (Rodrigues form)."""
-    return _rodrigues(_unit_axis(axis), angle)
+    return _rodrigues(*_axis_terms(axis), angle)
 
 
-def _rodrigues(unit_axis: tuple, angle: float) -> np.ndarray:
-    """Rotation by angle about a unit axis given as three floats."""
-    x, y, z = unit_axis
-    c, s = math.cos(angle), math.sin(angle)
-    C = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
-            [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
-            [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
-        ]
-    )
+def _rodrigues(outer, cross, angle) -> np.ndarray:
+    """Rotations by angle about unit axes k given as k k^T and [k]x.
+
+    R = (1 - cos) k k^T + sin [k]x + cos I for (..., 3, 3) axis terms and
+    an angle of their leading shape. Each entry is the same float
+    expression however many rotations are built at once.
+    """
+    c, s = np.cos(angle), np.sin(angle)
+    r = outer * (1.0 - c)[..., None, None] + cross * s[..., None, None]
+    r.reshape(-1, 9)[:, ::4] += c.reshape(-1, 1)
+    return r
 
 
 @dataclass(frozen=True, eq=False, slots=True, init=False)
@@ -128,6 +138,17 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
+    @classmethod
+    def _of(cls, rt: np.ndarray) -> "Pose":
+        """The pose over a (4, 3) float array rt, which it takes as its own.
+
+        Skips __init__'s conversions and copy, not the check.
+        """
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rt", rt)
+        pose.__post_init__()
+        return pose
+
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point or an (n, 3) stack of points."""
         return np.asarray(points, dtype=float) @ self.r.T + self.t
@@ -136,11 +157,49 @@ class Pose:
         """This pose applied after `other` (self o other)."""
         rt, ort = self.rt, other.rt
         r = rt[:3]
-        return Pose(r @ ort[:3], r @ ort[3] + rt[3])
+        out = np.empty((4, 3))
+        out[:3] = r @ ort[:3]
+        out[3] = r @ ort[3] + rt[3]
+        return Pose._of(out)
 
     def inverse(self) -> "Pose":
-        rinv = self.r.T
-        return Pose(rinv, -(rinv @ self.t))
+        rinv = self.rt[:3].T
+        out = np.empty((4, 3))
+        out[:3] = rinv
+        out[3] = -(rinv @ self.rt[3])
+        return Pose._of(out)
+
+
+class _RowPose(Pose):
+    """A Pose over one row of an (m, 4, 3) block it shares with other poses.
+
+    It holds no array of its own: rt is a view made on each access. A run
+    with include_poses keeps a Pose per moving plate per frame; without an
+    array object per Pose, a translational preset trajectory takes about
+    30% less memory.
+    """
+
+    __slots__ = ("_block", "_row")
+
+    @property
+    def rt(self) -> np.ndarray:
+        return self._block[self._row]
+
+    def __reduce__(self):
+        # A copy or pickle is a plain Pose: rt has no slot to restore.
+        return Pose, (self.r.copy(), self.t.copy())
+
+    @classmethod
+    def rows(cls, block: np.ndarray) -> tuple:
+        """A checked pose over each row of block, which they take as theirs."""
+        poses = []
+        for i in range(len(block)):
+            pose = object.__new__(cls)
+            object.__setattr__(pose, "_block", block)
+            object.__setattr__(pose, "_row", i)
+            pose.__post_init__()
+            poses.append(pose)
+        return tuple(poses)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,13 +297,15 @@ class UnitPoseSet:
 
 @functools.lru_cache(maxsize=128)
 def _unit_constants(alpha: float) -> tuple:
-    """What unit_poses needs of alpha alone, validated and computed once.
+    """What the unit kinematics needs of alpha alone, validated and computed once.
 
-    Returns the local fold directions u12, u23 and u34, their components
-    as rotation_about normalizes them, and the fixed rotation that moves
-    plate 4 from its chain-side layout to the ground-aligned one. Every
-    caller shares these arrays, so they are read-only. An invalid alpha
-    raises here, and lru_cache keeps no entry for a call that raised.
+    Returns the local fold directions u12, u23 and u34, their Rodrigues
+    terms as rotation_about computes them, the fixed rotation that moves
+    plate 4 from its chain-side layout to the ground-aligned one, and the
+    cos(alpha), sin(alpha)^2 and cos(alpha)^2 of the closed-form joint
+    angles. Every caller shares these arrays, so they are read-only. An
+    invalid alpha raises here, and lru_cache keeps no entry for a call that
+    raised.
     """
     CentralAngles.self_lock(alpha)
     dirs = tuple(
@@ -252,7 +313,68 @@ def _unit_constants(alpha: float) -> tuple:
         for phi in (math.pi / 2 - alpha, math.pi / 2 - 2 * alpha, -2 * alpha)
     )
     relayout = _read_only(rotation_about(ZHAT, -2 * alpha - math.pi))
-    return dirs, tuple(_unit_axis(d) for d in dirs), relayout
+    closed = (math.cos(alpha), math.sin(alpha) ** 2, math.cos(alpha) ** 2)
+    return dirs, tuple(_axis_terms(d) for d in dirs), relayout, closed
+
+
+class UnitKinematics:
+    """The array kinematic core: n units' constants, stacked over units.
+
+    Built once per manipulator from its units' alphas and branches; each
+    call then places the four plates of every unit at a vector of theta1
+    values with one evaluation of the closed forms and one batch of
+    rotations. unit_poses is its n = 1 view, so a unit gets the same bytes
+    alone or in a batch of any size.
+    """
+
+    def __init__(self, alphas, configs):
+        consts = [_unit_constants(a) for a in alphas]
+        n = len(consts)
+        # The Rodrigues terms k k^T and [k]x of the fold axes u12, u23 and
+        # u34, each a (3, n, 3, 3) stack: axis, then unit.
+        terms = np.array([c[1] for c in consts]).transpose(2, 1, 0, 3, 4)
+        self._outer, self._cross = np.ascontiguousarray(terms)
+        self._relayout = np.array([c[2] for c in consts])
+        self._cos, self._sin2, self._cos2 = np.array([c[3] for c in consts]).T
+        # The Down mirror diag(1, 1, -1) R diag(1, 1, -1) as R * signs + zero
+        # per unit. Up units take signs 1 and zero -0.0, which leave every
+        # float as it is. Down units take zero +0.0: at theta1 = 0 some
+        # entries are +0.0, and a sign flip makes them -0.0 where the matrix
+        # product gives +0.0.
+        down = np.array([c is Configuration.DOWN for c in configs])[:, None, None, None]
+        self._signs = np.where(down, _MIRROR_SIGNS, 1.0)
+        self._zero = np.where(down, 0.0, -0.0)
+        # Plate 1 is the identity in every unit; every translation is zero.
+        self._blank = np.zeros((n, 4, 4, 3))
+        self._blank[:, 0, :3] = _EYE
+
+    def rotations(self, theta1) -> tuple:
+        """(rt, theta4, theta3) of the units at their n theta1 values.
+
+        rt is (n, 4, 4, 3): rt[u, k] is the (4, 3) Pose array of plate k of
+        unit u, a pure rotation about the shared vertex, with plate 1 the
+        identity. Plate 2 rotates by theta1 about u12; plates 3 and 4 follow
+        by theta2 (= theta4) about u23 and theta3 about u34, each axis
+        carried along by the chain. theta4 and theta3 are the Up-branch
+        values the chain rotates by on either branch.
+        """
+        theta1 = np.asarray(theta1, dtype=float)
+        t4 = theta4_up(self._cos, theta1)
+        t3 = theta3_up(self._sin2, self._cos2, theta1)
+        r12, r23, r34 = _rodrigues(self._outer, self._cross, -np.array((theta1, t4, t3)))
+        rt = self._blank.copy()
+        rt[:, 1, :3] = r12
+        rt[:, 2, :3] = r13 = r12 @ r23
+        rt[:, 3, :3] = r13 @ r34 @ self._relayout
+        moved = rt[:, 1:, :3]
+        moved *= self._signs
+        moved += self._zero
+        return rt, t4, t3
+
+
+@functools.lru_cache(maxsize=128)
+def _one_unit(alpha: float, config: Configuration) -> UnitKinematics:
+    return UnitKinematics((alpha,), (config,))
 
 
 def unit_poses(
@@ -260,32 +382,19 @@ def unit_poses(
 ) -> UnitPoseSet:
     """Forward kinematics of one unit: place all four plates for a theta1.
 
-    Plate 2 rotates by theta1 about u12; plates 3 and 4 follow by theta2
-    about u23 and theta3 about u34, each axis carried along by the chain.
-    Plate 4's returned pose is expressed over its ground-aligned local
-    layout (the one spanning u41 = +y), so at any valid state it equals a
-    pure rotation about u41 by the signed theta4. The fold axes u12 and
-    u41 are shared read-only arrays.
+    The one-unit view of UnitKinematics.rotations. Plate 4's returned pose
+    is expressed over its ground-aligned local layout (the one spanning
+    u41 = +y), so at any valid state it equals a pure rotation about u41 by
+    the signed theta4. The fold axes u12 and u41 are shared read-only
+    arrays.
     """
-    (u12, u23l, u34l), (k12, k23, k34), relayout = _unit_constants(alpha)
-    st = joint_state(alpha, theta1, config)
+    (u12, u23l, u34l), _, _, _ = _unit_constants(alpha)
+    rt, t4, t3 = _one_unit(alpha, config).rotations((theta1,))
+    poses = tuple(Pose._of(p) for p in rt[0])
     sgn = config.sign
-    t2u = sgn * st.theta2
-    t3u = sgn * st.theta3
-    R2 = _rodrigues(k12, -theta1)
-    R3 = R2 @ _rodrigues(k23, -t2u)
-    R4 = R3 @ _rodrigues(k34, -t3u) @ relayout
-    rots = [R2, R3, R4]
-    if config is Configuration.DOWN:
-        # At theta1 = 0 some entries are +0.0, and a sign flip makes them
-        # -0.0 where diag(1, 1, -1) @ R @ diag(1, 1, -1) gives +0.0; adding
-        # +0.0 keeps the product's bytes. Plate 1's identity is its own
-        # mirror.
-        rots = [R * _MIRROR_SIGNS + 0.0 for R in rots]
-    zero = np.zeros(3)
-    poses = tuple(Pose(R, zero) for R in (_EYE, *rots))
+    t4, t3 = float(sgn * t4[0]), float(sgn * t3[0])
     axes = (u12, poses[1].r @ u23l, poses[2].r @ u34l, YHAT)
-    return UnitPoseSet(poses, axes, st, m)
+    return UnitPoseSet(poses, axes, JointState(theta1, t4, t3, t4, config), m)
 
 
 def _wrap_angle(x: float) -> float:

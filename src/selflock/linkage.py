@@ -186,9 +186,17 @@ def theta4_of_theta1(alpha: float, theta1, config: Configuration):
     the result is a float or an ndarray of the same shape.
     """
     _check_alpha(alpha)
+    return _float_or_array(config.sign * theta4_up(math.cos(alpha), theta1))
+
+
+def theta4_up(cos_alpha, theta1):
+    """The Up-branch theta4 of theta1 at a given cos(alpha), unchecked.
+
+    The closed form of theta4_of_theta1. cos_alpha and theta1 broadcast, so
+    the kinematics of many units evaluate it once over all of them.
+    """
     half = 0.5 * theta1
-    up = np.arctan2(math.cos(alpha) * np.cos(half), np.sin(half))
-    return _float_or_array(config.sign * up)
+    return np.arctan2(cos_alpha * np.cos(half), np.sin(half))
 
 
 def theta3_of_theta1(alpha: float, theta1, config: Configuration):
@@ -200,7 +208,17 @@ def theta3_of_theta1(alpha: float, theta1, config: Configuration):
     is a float or an ndarray, as for theta4_of_theta1.
     """
     _check_alpha(alpha)
-    arg = math.sin(alpha) ** 2 * np.cos(theta1) - math.cos(alpha) ** 2
+    up = theta3_up(math.sin(alpha) ** 2, math.cos(alpha) ** 2, theta1)
+    return _float_or_array(config.sign * up)
+
+
+def theta3_up(sin2_alpha, cos2_alpha, theta1):
+    """The Up-branch theta3 of theta1 at given sin(alpha)^2 and cos(alpha)^2.
+
+    The closed form of theta3_of_theta1, with its domain guard; the
+    arguments broadcast as for theta4_up.
+    """
+    arg = sin2_alpha * np.cos(theta1) - cos2_alpha
     over = abs(arg) > 1.0
     if np.count_nonzero(over):
         far = abs(arg) > 1.0 + 1e-12
@@ -208,7 +226,7 @@ def theta3_of_theta1(alpha: float, theta1, config: Configuration):
             bad = float(np.ravel(arg)[np.argmax(far)])
             raise DomainError(f"cos(theta3) argument {bad!r} outside [-1, 1]")
         arg = np.where(over, np.copysign(1.0, arg), arg)
-    return _float_or_array(config.sign * np.arccos(arg))
+    return np.arccos(arg)
 
 
 def joint_state(alpha: float, theta1: float, config: Configuration) -> JointState:

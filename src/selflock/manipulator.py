@@ -28,12 +28,13 @@ import numpy as np
 
 from .geometry import (
     Pose,
+    UnitKinematics,
+    _RowPose,
     pad_polygons,
     plate_axis_bounds,
     plate_meshes,
     polygon_margins_batch,
     trim_corner,
-    unit_poses,
 )
 from .linkage import (
     CentralAngles,
@@ -303,10 +304,10 @@ def _index(v, path: str) -> int:
     return int(v)
 
 
-def _built(cls, path: str, *args):
-    """cls(*args), a ValueError it raises naming path."""
+def _built(cls, path: str, *args, **kwargs):
+    """cls(*args, **kwargs), a ValueError it raises naming path."""
     try:
-        return cls(*args)
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
@@ -354,7 +355,7 @@ def _from_json(cls, d, path: str, *other: str, **defaults):
     for f, key in zip(fields(cls), keys[len(other):]):
         if key in d and f.type in _CODECS:
             args[f.name] = _CODECS[f.type][2](d[key], f"{path}.{key}")
-    return cls(**args)
+    return _built(cls, path, **args)
 
 
 def _kinded(kinds: dict, key: str, d, path: str, *other: str, **defaults):
@@ -391,6 +392,8 @@ def _phase_from_json(d, path: str, n: int, gamma: float) -> Phase:
     phase = _from_json(Phase, d, path, *keys, target=target)
     if not 0 <= phase.unit < n:
         raise SpecError(f"{path}.unit: unit {phase.unit} outside 0..{n - 1}")
+    if phase.steps < 1:
+        raise SpecError(f"{path}.steps: phase steps must be at least 1")
     return phase
 
 
@@ -490,6 +493,9 @@ class Manipulator:
                     ]
                 )
             )
+        self._kinematics = UnitKinematics(
+            [u.alpha for u in spec.units], [u.config for u in spec.units]
+        )
         self._local = pad_polygons(polys)
         self._counts = [len(p) for p in polys]
         # The marker corner, on its untrimmed plate.
@@ -536,27 +542,29 @@ class Manipulator:
         return [semi_flat_theta1(u.alpha, u.config) for u in self.units]
 
     def _frames(self, thetas):
-        """Unit base poses and per-unit pose sets at the given theta1 values."""
-        psets = [
-            unit_poses(u.alpha, thetas[i], u.config, u.m)
-            for i, u in enumerate(self.units)
-        ]
+        """Unit base poses, plate poses and bounding plate poses at theta1s.
+
+        Returns (frames, plates, bp_world, plate_rt): frames[u] is unit u's
+        base pose in the world, plates[u][k] the pose of its plate k in the
+        unit's own frame, over plate_rt[u, k], and bp_world[ci] the world
+        pose of connection ci's bounding plate.
+        """
+        plate_rt = self._kinematics.rotations(thetas)[0]
+        plates = tuple(tuple(Pose._of(p) for p in unit) for unit in plate_rt)
         frames = {}
         bp_world = {}
         bu = self.base.unit
-        frames[bu] = self.base.pose.compose(psets[bu].poses[self.base.plate].inverse())
+        frames[bu] = self.base.pose.compose(plates[bu][self.base.plate].inverse())
         for ci, c in self._chain:
-            pworld = frames[c.parent].compose(psets[c.parent].poses[c.parent_plate])
+            pworld = frames[c.parent].compose(plates[c.parent][c.parent_plate])
             if isinstance(c, Weld):
                 child_base = pworld.compose(c.rel)
             else:
                 plate_world = pworld.compose(c.attach_parent)
                 bp_world[ci] = plate_world
                 child_base = plate_world.compose(c.attach_child)
-            frames[c.child] = child_base.compose(
-                psets[c.child].poses[c.child_plate].inverse()
-            )
-        return frames, psets, bp_world
+            frames[c.child] = child_base.compose(plates[c.child][c.child_plate].inverse())
+        return frames, plates, bp_world, plate_rt
 
     def _placed(self, thetas) -> tuple:
         """Plate world poses, unit-major, and the padded world polygon stack.
@@ -564,18 +572,22 @@ class Manipulator:
         Row i of the stack is node i's collision polygon in world frame,
         padded as pad_polygons pads it; the slab row is the local one.
         """
-        frames, psets, bp_world = self._frames(thetas)
-        poses = tuple(
-            frames[u].compose(psets[u].poses[k])
-            for u in range(len(self.units))
-            for k in range(4)
-        )
+        frames, _, bp_world, plate_rt = self._frames(thetas)
+        # frames[u].compose(plates[u][k]) for every plate at once, each entry
+        # by the same products and sums.
+        f = np.array([frames[u].rt for u in range(len(self.units))])[:, None]
+        rt = np.empty_like(plate_rt)
+        rt[:, :, :3] = f[..., :3, :] @ plate_rt[:, :, :3]
+        rt[:, :, 3] = (f[..., :3, :] @ plate_rt[:, :, 3, :, None])[..., 0] + f[..., 3, :]
+        rt = rt.reshape(-1, 4, 3)
+        poses = _RowPose.rows(rt)
         # Bounding plate nodes follow the plates, in connection order.
-        moving = poses + tuple(bp_world[ci] for ci in sorted(bp_world))
-        world = self._local.copy()
-        for i, pose in enumerate(moving):
-            world[i] = pose.apply(world[i])
-        return poses, world
+        if bp_world:
+            rt = np.concatenate((rt, [bp_world[ci].rt for ci in sorted(bp_world)]))
+        local = self._local
+        # Pose.apply on every moving row at once.
+        placed = local[: len(rt)] @ rt[:, :3].transpose(0, 2, 1) + rt[:, 3:]
+        return poses, np.concatenate((placed, local[len(rt):]))
 
     def world_vertices(self, thetas) -> dict:
         """World vertex arrays of every collision node at the given state."""
@@ -587,9 +599,9 @@ class Manipulator:
 
     def marker_world(self, thetas) -> np.ndarray:
         """World position of the spec's marker corner at the given state."""
-        frames, psets, _ = self._frames(thetas)
+        frames, plates, _, _ = self._frames(thetas)
         mu, mp, _ = self.spec.marker
-        pose = frames[mu].compose(psets[mu].poses[mp])
+        pose = frames[mu].compose(plates[mu][mp])
         return pose.apply(self._marker)
 
 

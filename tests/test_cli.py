@@ -333,7 +333,7 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     cases = []
     data = chain.to_json_dict()
     data["connections"][0]["slab_center_mm"] = [1.0, 2.0]
-    cases.append((data, "slab_center"))
+    cases.append((data, "spec.connections[0]: base slab_center"))
     data = chain.to_json_dict()
     data["schedule"] = "x"
     cases.append((data, "schedule"))
@@ -341,10 +341,20 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
         data = chain.to_json_dict()
         assert data["connections"][1]["kind"] == "bounding_plate"
         data["connections"][1]["side_mm"] = side
-        cases.append((data, "bounding plate side"))
+        cases.append((data, "spec.connections[1]: bounding plate side"))
     data = chain.to_json_dict()
     data["connections"][0]["slab_side_mm"] = -5
-    cases.append((data, "slab_side"))
+    cases.append((data, "spec.connections[0]: base slab_side"))
+    # A dataclass check on a value of the right JSON type names its path.
+    data = chain.to_json_dict()
+    data["units"][0]["alpha_deg"] = 95
+    cases.append((data, "spec.units[0]: self-locking joint needs alpha"))
+    data = chain.to_json_dict()
+    data["units"][1]["plate_m_mm"] = [25.0, 25.0, 25.0]
+    cases.append((data, "spec.units[1]: plate_m = "))
+    data = chain.to_json_dict()
+    data["schedule"] = {"phases": [{"unit": 0, "target": "mpf", "steps": 0}]}
+    cases.append((data, "spec.schedule.phases[0].steps: phase steps must be at least 1"))
     # A plate no longer than the 2 mm corner trim of the collision mesh.
     data = chain.to_json_dict()
     data["units"][1]["plate_m_mm"] = [25.0, 25.0, 25.0, 1.5]

@@ -22,7 +22,7 @@ from selflock import (
     trim_corner,
     unit_poses,
 )
-from selflock.geometry import pad_polygons, plate_axis_bounds
+from selflock.geometry import UnitKinematics, pad_polygons, plate_axis_bounds
 from selflock.linkage import joint_state
 
 UP = Configuration.UP
@@ -184,18 +184,43 @@ def test_unit_poses_down_mirrors_up():
         assert np.abs(pd.r - mir @ pu.r @ mir).max() < 1e-12
 
 
+def _rotation_reference(axis, angle):
+    """Rodrigues' rotation entry by entry in Python floats."""
+    x, y, z = (np.asarray(axis, dtype=float) / np.linalg.norm(axis)).tolist()
+    c, s = math.cos(angle), math.sin(angle)
+    C = 1.0 - c
+    return np.array(
+        [
+            [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
+            [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
+            [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
+        ]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: sum(x * x for x in v) > 1e-6
+    ),
+    st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-4.0, 4.0),
+)
+def test_rotation_about_bytes_match_scalar_reference(axis, angle):
+    assert rotation_about(axis, angle).tobytes() == _rotation_reference(axis, angle).tobytes()
+
+
 def _unit_poses_reference(alpha, theta1, config):
-    """unit_poses written out as four rotation_about calls and a mirror by
-    matrix products: rotations and fold axes."""
+    """unit_poses written out as four scalar Rodrigues rotations and a
+    mirror by matrix products: rotations and fold axes."""
     state = joint_state(alpha, theta1, config)
     u12, u23l, u34l = (
         np.array([math.cos(phi), math.sin(phi), 0.0])
         for phi in (math.pi / 2 - alpha, math.pi / 2 - 2 * alpha, -2 * alpha)
     )
-    R2 = rotation_about(u12, -theta1)
-    R3 = R2 @ rotation_about(u23l, -(config.sign * state.theta2))
-    R4c = R3 @ rotation_about(u34l, -(config.sign * state.theta3))
-    R4 = R4c @ rotation_about([0.0, 0.0, 1.0], -2 * alpha - math.pi)
+    R2 = _rotation_reference(u12, -theta1)
+    R3 = R2 @ _rotation_reference(u23l, -(config.sign * state.theta2))
+    R4c = R3 @ _rotation_reference(u34l, -(config.sign * state.theta3))
+    R4 = R4c @ _rotation_reference([0.0, 0.0, 1.0], -2 * alpha - math.pi)
     rots = [np.eye(3), R2, R3, R4]
     if config is DOWN:
         mir = np.diag([1.0, 1.0, -1.0])
@@ -218,6 +243,46 @@ def test_unit_poses_bytes_match_rotation_about_chain(alpha, theta1, config):
         assert pose.rt.tobytes() == np.vstack([R, np.zeros(3)]).tobytes()
     for got, want in zip(ps.fold_axes, axes):
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(math.pi / 4, math.pi / 2, exclude_min=True, exclude_max=True),
+            st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True),
+            st.sampled_from([UP, DOWN]),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_unit_kinematics_batch_size_independent(units):
+    # Every numpy routine of the core runs once over all units; a SIMD path
+    # whose results depended on the array length would show here.
+    alphas, thetas, configs = zip(*units)
+    batch = UnitKinematics(alphas, configs)
+    rt, t4, t3 = batch.rotations(thetas)
+    for u, (alpha, theta1, config) in enumerate(units):
+        ps = unit_poses(alpha, theta1, config)
+        assert rt[u].tobytes() == b"".join(p.rt.tobytes() for p in ps.poses)
+        st_ = ps.joint_state
+        assert (st_.theta2, st_.theta3, st_.theta4) == (
+            config.sign * t4[u], config.sign * t3[u], config.sign * t4[u]
+        )
+        # Within 1e-6 rad of the fold-over at +-pi the closed-form theta3
+        # loses half its digits (test_loop_closure_at_fold_over).
+        if abs(theta1) <= math.pi - 1e-6:
+            assert loop_closure_error(ps) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="theta3 = arccos(arg) with arg rounded to -1")
+def test_loop_closure_at_fold_over():
+    # Next to theta1 = pi the cosine argument of theta3 rounds to -1, where
+    # arccos has an infinite slope: the state misses closure by
+    # sqrt(2 eps) = 1.5e-8 rad.
+    ps = unit_poses(1.0625, math.pi - 1e-15, UP)
+    assert loop_closure_error(ps) < 1e-9
 
 
 def test_unit_poses_cache_keeps_constants_and_errors():

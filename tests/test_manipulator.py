@@ -1,8 +1,10 @@
 """Manipulator assembly, presets, schedule runs, and trajectory export."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -646,8 +648,8 @@ def test_run_include_poses_shares_resting_plates():
     assert traj.meta["phase_committed_steps"] == [3, 3]
     frames = traj.frames
     for frame in frames:
-        world, psets, _ = manip._frames(list(frame.theta1s))
-        fresh = [world[u].compose(psets[u].poses[k]) for u in range(2) for k in range(4)]
+        world, plates, _, _ = manip._frames(list(frame.theta1s))
+        fresh = [world[u].compose(plates[u][k]) for u in range(2) for k in range(4)]
         assert [p.rt.tobytes() for p in frame.poses] == [p.rt.tobytes() for p in fresh]
     for prev, cur in zip(frames, frames[1:]):
         for p, q in zip(prev.poses, cur.poses):
@@ -658,6 +660,19 @@ def test_run_include_poses_shares_resting_plates():
     for f in frames[4:]:
         assert all(f.poses[i] is frames[3].poses[i] for i in range(5))
         assert not any(f.poses[i] is frames[3].poses[i] for i in range(5, 8))
+
+
+def test_run_include_poses_frames_share_one_block_per_state():
+    # The plate poses of one placed state read their rows of one shared
+    # array; a copy or pickle of one is a plain Pose with the same bytes.
+    manip = build(preset_rotational(math.radians(89), math.radians(89)))
+    traj = run(manip, _mpf_schedule(2, steps=2), include_poses=True)
+    prev, last = traj.frames[-2].poses, traj.frames[-1].poses
+    moved = [p for p, q in zip(last, prev) if p is not q]
+    assert moved and len({id(p.rt.base) for p in moved}) == 1
+    for p in moved:
+        for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+            assert type(twin) is Pose and twin.rt.tobytes() == p.rt.tobytes()
 
 
 def test_run_include_poses_same_markers_and_poses():
@@ -688,8 +703,8 @@ def test_run_include_poses_same_markers_and_poses():
             assert (f.t, f.theta1s) == (g.t, g.theta1s)
             assert f.marker.tobytes() == g.marker.tobytes()
             assert f.marker.tobytes() == manip.marker_world(list(f.theta1s)).tobytes()
-            world, psets, _ = manip._frames(list(f.theta1s))
-            fresh = [world[k // 4].compose(psets[k // 4].poses[k % 4]) for k in range(n)]
+            world, plates, _, _ = manip._frames(list(f.theta1s))
+            fresh = [world[k // 4].compose(plates[k // 4][k % 4]) for k in range(n)]
             assert [p.rt.tobytes() for p in f.poses] == [p.rt.tobytes() for p in fresh]
 
 
