@@ -496,6 +496,7 @@ class Manipulator:
         self._kinematics = UnitKinematics(
             [u.alpha for u in spec.units], [u.config for u in spec.units]
         )
+        self._last_rotations = (None, None)
         self._local = pad_polygons(polys)
         self._counts = [len(p) for p in polys]
         # The marker corner, on its untrimmed plate.
@@ -541,6 +542,21 @@ class Manipulator:
     def semi_flat_thetas(self) -> list:
         return [semi_flat_theta1(u.alpha, u.config) for u in self.units]
 
+    def _rotations(self, thetas) -> np.ndarray:
+        """The plate rotations of UnitKinematics.rotations at theta1s, read-only.
+
+        A run checks a state, then takes its marker at that same state, so
+        the last result is kept and reused when the theta bytes repeat. The
+        key is the bytes, not the values: equal bytes are the same input,
+        while equal values also match -0.0 with 0.0.
+        """
+        key = np.asarray(thetas, dtype=float).tobytes()
+        if key != self._last_rotations[0]:
+            plate_rt = self._kinematics.rotations(thetas)[0]
+            plate_rt.flags.writeable = False
+            self._last_rotations = (key, plate_rt)
+        return self._last_rotations[1]
+
     def _frames(self, thetas):
         """Unit base poses, plate poses and bounding plate poses at theta1s.
 
@@ -549,7 +565,7 @@ class Manipulator:
         unit's own frame, over plate_rt[u, k], and bp_world[ci] the world
         pose of connection ci's bounding plate.
         """
-        plate_rt = self._kinematics.rotations(thetas)[0]
+        plate_rt = self._rotations(thetas)
         plates = tuple(tuple(Pose._of(p) for p in unit) for unit in plate_rt)
         frames = {}
         bp_world = {}
@@ -811,22 +827,28 @@ def pair_margins(world: dict, pairs) -> np.ndarray:
     return polygon_margins_batch(P[I], P[J])
 
 
-def _collides(P: np.ndarray, I: np.ndarray, J: np.ndarray, clearance: float) -> bool:
-    """Whether any pair (P[I], P[J]) has a separating-axis margin <= clearance.
+def _clear_pairs(
+    P: np.ndarray, I: np.ndarray, J: np.ndarray, clearance: float
+) -> np.ndarray:
+    """Whether each pair (P[I], P[J]) has a separating-axis margin > clearance.
 
+    Equal, pair for pair, to polygon_margins_batch(P[I], P[J]) > clearance.
     plate_axis_bounds certifies most pairs clear at a fraction of the
     kernel's cost; only the rest reach polygon_margins_batch. The bound and
     the kernel project with different numpy routines, so a pair is
     certified only when its bound clears the clearance by far more than
-    their rounding difference; the decision is then the kernel's own.
+    their rounding difference; every other pair gets the kernel's own
+    decision. run() takes its watched set at the start and checks every
+    step through this one routine.
     """
     if not len(I):
-        return False
+        return np.ones(0, dtype=bool)
     slack = 1e-12 * (1.0 + float(np.abs(P).max()))
-    near = plate_axis_bounds(P, I, J) <= clearance + slack
-    if not near.any():
-        return False
-    return bool((polygon_margins_batch(P[I[near]], P[J[near]]) <= clearance).any())
+    clear = plate_axis_bounds(P, I, J) > clearance + slack
+    near = ~clear
+    if near.any():
+        clear[near] = polygon_margins_batch(P[I[near]], P[J[near]]) > clearance
+    return clear
 
 
 def run(
@@ -867,13 +889,13 @@ def run(
     thetas = manipulator.semi_flat_thetas()
     poses, world = manipulator._placed(thetas)
     I, J = manipulator._pair_rows
-    watched = polygon_margins_batch(world[I], world[J]) > collision_clearance
+    watched = _clear_pairs(world, I, J, collision_clearance)
     wi, wj = I[watched], J[watched]
 
     def clear_poses(cand):
         """The plate poses at cand, or None if a watched pair is blocked."""
         poses, world = manipulator._placed(cand)
-        return None if _collides(world, wi, wj, collision_clearance) else poses
+        return poses if _clear_pairs(world, wi, wj, collision_clearance).all() else None
 
     frames = []
     mu, mp, _ = manipulator.spec.marker

@@ -22,8 +22,9 @@ from selflock import (
     trim_corner,
     unit_poses,
 )
-from selflock.geometry import UnitKinematics, pad_polygons, plate_axis_bounds
+from selflock.geometry import UnitKinematics, pad_polygons, plate_axes, plate_axis_bounds
 from selflock.linkage import joint_state
+from selflock.manipulator import UnitSpec, build, preset_modular
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -473,3 +474,40 @@ def test_plate_axis_bound_never_exceeds_margin(pair):
     both = plate_axis_bounds(P, np.array([0, 1]), np.array([1, 0]))
     assert both[0] == both[1]
     assert both[0] <= margin + 1e-12
+
+
+def _all_to_all_axis_bounds(P, I, J):
+    """plate_axis_bounds in its first layout, polygon-major with the axes
+    last; the axis-major layout must give the same bits."""
+    axes, keep, _ = plate_axes(P)
+    n, v, _ = P.shape
+    proj = (P.reshape(-1, 3) @ axes.reshape(-1, 3).T).reshape(n, v, n, -1)
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    diag = np.arange(n)
+    own_lo = np.where(keep, lo[diag, diag], -np.inf)
+    own_hi = np.where(keep, hi[diag, diag], np.inf)
+    gap = np.maximum(lo - own_hi[None], own_lo[None] - hi).max(axis=2)
+    return np.maximum(gap[J, I], gap[I, J])
+
+
+@st.composite
+def _modular_state(draw):
+    """A modular chain of 1-16 units on either branch, and a state of it with
+    every theta1 within 2 rad of its semi-flat value."""
+    n = draw(st.integers(1, 16))
+    units = tuple(
+        UnitSpec(math.radians(draw(st.floats(50.0, 89.9))), draw(st.sampled_from((UP, DOWN))))
+        for _ in range(n)
+    )
+    manip = build(preset_modular(units))
+    thetas = [t + draw(st.floats(-2.0, 2.0)) for t in manip.semi_flat_thetas()]
+    return manip, thetas
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modular_state())
+def test_plate_axis_bounds_matches_all_to_all_layout(state):
+    manip, thetas = state
+    P = pad_polygons(list(manip.world_vertices(thetas).values()))
+    I, J = np.triu_indices(len(P), 1)
+    assert np.array_equal(plate_axis_bounds(P, I, J), _all_to_all_axis_bounds(P, I, J))

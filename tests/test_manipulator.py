@@ -40,8 +40,8 @@ from selflock import (
     workspace_projection,
 )
 from selflock.geometry import pad_polygons
-from selflock.linkage import mpf_theta1
-from selflock.manipulator import _collides, _conn_from_json, _node_rows
+from selflock.linkage import mpf_theta1, semi_flat_theta1
+from selflock.manipulator import _clear_pairs, _conn_from_json, _node_rows
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -544,8 +544,10 @@ def test_modular_committed_steps_pinned():
 def _chain_state(draw):
     n = draw(st.integers(2, 4))
     alphas = [draw(st.floats(80.0, 89.9)) for _ in range(n)]
-    fracs = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
-    clearance = draw(st.sampled_from((0.1, 1.0, 3.0)))
+    # The start state (every fraction 0) is where run() takes its watched set.
+    start = draw(st.booleans())
+    fracs = [0.0 if start else draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    clearance = draw(st.sampled_from((0.0, 0.1, 1.0, 3.0)))
     return alphas, fracs, clearance
 
 
@@ -555,19 +557,45 @@ def test_broad_phase_decision_matches_full_kernel(state):
     alphas, fracs, clearance = state
     manip = build(preset_modular(tuple(_unit(a) for a in alphas)))
     start = manip.semi_flat_thetas()
-    world0 = manip.world_vertices(start)
-    watched = [
-        p for p, m in zip(manip.pairs, pair_margins(world0, manip.pairs)) if m > clearance
-    ]
     thetas = [
         s + f * (mpf_theta1(u.alpha, GAMMA, u.config) - s)
         for s, f, u in zip(start, fracs, manip.units)
     ]
     world = manip.world_vertices(thetas)
-    I, J = _node_rows(world, watched)
+    I, J = _node_rows(world, manip.pairs)
     P = pad_polygons(list(world.values()))
-    expect = bool((pair_margins(world, watched) <= clearance).any())
-    assert _collides(P, I, J, clearance) == expect
+    expect = pair_margins(world, manip.pairs) > clearance
+    assert np.array_equal(_clear_pairs(P, I, J, clearance), expect)
+
+
+def _rotation_bytes(manip, thetas) -> bytes:
+    """The bytes of every plate rotation and every placed polygon at thetas."""
+    plate_rt = manip._frames(thetas)[3]
+    return plate_rt.tobytes() + manip._placed(thetas)[1].tobytes()
+
+
+def test_rotation_memo_keys_on_bytes():
+    # -0.0 == 0.0 as values but not as bytes; whichever of the two states
+    # comes first, each gets the bytes a fresh manipulator gives it.
+    spec = preset_rotational(math.radians(89), math.radians(89))
+    x = semi_flat_theta1(math.radians(89), DOWN)
+    neg, pos = [-0.0, x], [0.0, x]
+    fresh = {k: _rotation_bytes(build(spec), t) for k, t in (("neg", neg), ("pos", pos))}
+    manip = build(spec)
+    for key, thetas in (("neg", neg), ("pos", pos), ("neg", neg), ("pos", pos)):
+        assert _rotation_bytes(manip, thetas) == fresh[key]
+        assert np.array_equal(manip.marker_world(thetas), build(spec).marker_world(thetas))
+
+
+def test_rotation_memo_never_stale():
+    spec = preset_modular(tuple(_unit(a) for a in (85.0, 89.0, 80.0)))
+    manip = build(spec)
+    start = manip.semi_flat_thetas()
+    states = {"start": start, "other": [t + 0.25 for t in start]}
+    expect = {k: _rotation_bytes(build(spec), t) for k, t in states.items()}
+    for key in ("start", "other", "other", "start", "other", "start", "start"):
+        assert _rotation_bytes(manip, states[key]) == expect[key]
+        assert _rotation_bytes(manip, tuple(states[key])) == expect[key]
 
 
 def test_run_empty_schedule():
