@@ -61,6 +61,41 @@ def _r9(v) -> float:
     return float(format(float(v), ".9g"))
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(values) -> list:
+    """JSON tokens of numbers, each spelled as json.dumps(_r9(v)) spells it.
+
+    One "%.9g,...,%.9g" operation formats every value, then each token is
+    respelled where repr(float) writes it differently. A token with "e"
+    goes through repr: %g writes an exponent from 1e9 on and repr only
+    from 1e16, and repr writes a subnormal with fewer digits. nan and inf
+    take JSON's names, and an integral token gains ".0". Every other
+    token has at most 9 significant digits, so it already is the
+    shortest spelling of its double, which is repr's.
+    """
+    values = tuple(values)
+    tokens = ("%.9g," * len(values) % values).split(",")
+    tokens.pop()
+    return [
+        tok if "." in tok and "e" not in tok
+        else repr(float(tok)) if "e" in tok
+        else _JSON_NON_FINITE.get(tok, tok + ".0")
+        for tok in tokens
+    ]
+
+
+def _json_list(head: dict, key: str, item: str, count: int, values) -> str:
+    """json.dumps({**head, key: [...]}) and a newline, from an entry template.
+
+    item is the JSON text of one list entry with a %s per number, and
+    values holds the numbers of all count entries in order.
+    """
+    body = ", ".join([item] * count) % tuple(_json_numbers(values))
+    return json.dumps({**head, key: []})[:-2] + body + "]}\n"
+
+
 def _write(out, text: str) -> None:
     if out:
         Path(out).write_text(text)
@@ -86,11 +121,9 @@ def _write_table(args, columns, rows, meta: dict) -> None:
     if args.format == "csv":
         text = _csv(columns, rows)
     else:
-        payload = dict(meta)
-        payload["rows"] = [
-            {k: _r9(v) for k, v in zip(columns, row)} for row in rows
-        ]
-        text = json.dumps(payload) + "\n"
+        item = "{%s}" % ", ".join(json.dumps(k) + ": %s" for k in columns)
+        values = [v for row in rows for v in row]
+        text = _json_list(meta, "rows", item, len(rows), values)
     _write(args.out, text)
 
 
@@ -232,15 +265,15 @@ def _trajectory_json(traj, extra_meta: dict) -> str:
     }
     for k, v in extra_meta.items():
         meta[k] = _r9(v)
-    frames = [
-        {
-            "t": _r9(f.t),
-            "joints_deg": [_r9(math.degrees(t)) for t in f.theta1s],
-            "marker_mm": [_r9(v) for v in f.marker],
-        }
-        for f in traj.frames
+    frames = traj.frames
+    joints = ", ".join(["%s"] * len(frames[0].theta1s))
+    item = '{"t": %s, "joints_deg": [' + joints + '], "marker_mm": [%s, %s, %s]}'
+    values = [
+        x
+        for f in frames
+        for x in (f.t, *map(math.degrees, f.theta1s), *f.marker.tolist())
     ]
-    return json.dumps({"meta": meta, "frames": frames}) + "\n"
+    return _json_list({"meta": meta}, "frames", item, len(frames), values)
 
 
 def _trajectory_csv(traj) -> str:

@@ -517,6 +517,7 @@ _PINNED_SHA256 = {
     "sweep.csv": "34eff041c06f8a47a439404bf1f0e4530eddcfcadbd85dbd516478e0200aa7f6",
     "sweep.json": "2a15eba05eeb4e1a2d58f697782e57f0210f7373606629b3f476780aa5561b00",
     "moment.csv": "97bb6eb45c4c4b4131a75ea05c9049554923ca83410462303385cf7beed8b433",
+    "moment.json": "77814c2bd669e29354afa0dc850144ddcc60b1fa236bf477ec6ebbce914c5091",
     "states": "ddf7f048d19f4b5be9ef4df214d632134b45a467c05f6a99aee1bca3a286dacc",
     "manip.json": "21c0800997160c6c8f8dd035b03446f9d2570cacb5560809813d6fa9ff27a7bc",
     "manip.svg": "36ca092c13643cfca18197768b14333602b6099afbd79f508731816c33031726",
@@ -543,6 +544,7 @@ def test_table_exports_match_pinned_digests(tmp_path, capsys):
         "sweep.json": ["sweep", "--alpha-deg", "85", "--min-deg", "-120",
                        "--max-deg", "120", "--steps", "33", "--format", "json"],
         "moment.csv": ["moment", "--alpha-deg", "89"],
+        "moment.json": ["moment", "--alpha-deg", "89", "--format", "json"],
         "manip.json": ["manip", "rotational"],
         "manip.svg": ["manip", "rotational", "--schedule", "1:mpf:5,2:mpf:5",
                       "--format", "svg", "--plane", "xz,xy"],
