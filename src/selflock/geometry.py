@@ -521,23 +521,29 @@ def polygon_margins_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.where(keep, gaps, -np.inf).max(axis=1)
 
 
-def plate_axis_bounds(P: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+def plate_axis_bounds(
+    P: np.ndarray, axes: np.ndarray, keep: np.ndarray, I: np.ndarray, J: np.ndarray
+) -> np.ndarray:
     """Lower bound on polygon_margins_batch(P[I], P[J]), from per-plate axes.
 
     P is an (n, v, 3) stack of convex planar polygons padded as
-    pad_polygons does; I and J index its rows. The bound is the best gap
-    over the axes of plate_axes for both polygons of a pair, a subset of
-    the kernel's candidate axes, so it never exceeds the kernel's margin
-    (up to rounding: the projections here use a different routine). Every
-    polygon is projected onto every polygon's axes in one product, which
-    costs O(n^2) dot products but no per-pair gathering.
+    pad_polygons does; I and J index its rows. axes and keep are each
+    polygon's own candidate axes and their mask, as plate_axes(P) returns
+    them; a caller that holds only P passes those. Manipulator runs pass
+    axes resolved once in each plate's own frame and rotated with its
+    vertices, which equal plate_axes(P)'s up to rounding. The bound is the
+    best gap over these axes for both polygons of a pair, a subset of the
+    kernel's candidate axes, so it never exceeds the kernel's margin (up
+    to rounding: the kernel derives its axes from the vertices and
+    projects with a different routine). Every polygon is projected onto
+    every polygon's axes in one product, which costs O(n^2) dot products
+    but no per-pair gathering.
 
     The projection is laid out axis-major, polygon i last, so that the
     vertex and axis reductions run over middle axes with a long contiguous
     inner loop instead of over a last axis of length v + 1. Min, max and
     the gaps are exact, so the layout leaves every bound's bits unchanged.
     """
-    axes, keep, _ = plate_axes(P)
     n, v, _ = P.shape
     # proj[j, k, a, i]: vertex k of polygon j on axis a of polygon i.
     proj = (P.reshape(-1, 3) @ axes.transpose(2, 1, 0).reshape(3, -1)).reshape(n, v, -1, n)

@@ -31,6 +31,7 @@ from .geometry import (
     UnitKinematics,
     _RowPose,
     pad_polygons,
+    plate_axes,
     plate_axis_bounds,
     plate_meshes,
     polygon_margins_batch,
@@ -498,6 +499,19 @@ class Manipulator:
         )
         self._last_rotations = (None, None)
         self._local = pad_polygons(polys)
+        # Each node's own separating axes are fixed in its own frame, so
+        # they are resolved here once and placed with the vertices.
+        self._local_axes, self._keep, _ = plate_axes(self._local)
+        # Placed axes are the world polygons' own only while every rotation
+        # is orthonormal. Spec poses pass the Pose check at 1e-9, so a
+        # node's world rotation may be off by their summed Gram deviation,
+        # and _clear_pairs widens its slack by it.
+        spec_poses = [self.base.pose] + [
+            p
+            for _, c in self._chain
+            for p in ((c.rel,) if isinstance(c, Weld) else (c.attach_parent, c.attach_child))
+        ]
+        self._skew = sum(float(np.abs(p.r @ p.r.T - np.eye(3)).max()) for p in spec_poses)
         self._counts = [len(p) for p in polys]
         # The marker corner, on its untrimmed plate.
         mesh = plate_meshes(spec.units[mu].alpha, spec.units[mu].plate_sizes[mp])[mp]
@@ -583,10 +597,15 @@ class Manipulator:
         return frames, plates, bp_world, plate_rt
 
     def _placed(self, thetas) -> tuple:
-        """Plate world poses, unit-major, and the padded world polygon stack.
+        """Plate world poses, unit-major, and the world polygons and their axes.
 
-        Row i of the stack is node i's collision polygon in world frame,
-        padded as pad_polygons pads it; the slab row is the local one.
+        Returns (poses, world, axes). Row i of world is node i's collision
+        polygon in world frame, padded as pad_polygons pads it; row i of
+        axes is that polygon's own separating axes, the build-time
+        plate_axes of its local polygon turned by the rotation that places
+        its vertices. They equal plate_axes(world)'s up to rounding, and
+        their mask is the build-time one, Manipulator._keep. The slab rows
+        are the local ones.
         """
         frames, _, bp_world, plate_rt = self._frames(thetas)
         # frames[u].compose(plates[u][k]) for every plate at once, each entry
@@ -600,14 +619,17 @@ class Manipulator:
         # Bounding plate nodes follow the plates, in connection order.
         if bp_world:
             rt = np.concatenate((rt, [bp_world[ci].rt for ci in sorted(bp_world)]))
-        local = self._local
-        # Pose.apply on every moving row at once.
-        placed = local[: len(rt)] @ rt[:, :3].transpose(0, 2, 1) + rt[:, 3:]
-        return poses, np.concatenate((placed, local[len(rt):]))
+        m = len(rt)
+        rot = rt[:, :3].transpose(0, 2, 1)
+        local, local_axes = self._local, self._local_axes
+        # Pose.apply on every moving row at once; axes turn without the shift.
+        placed = local[:m] @ rot + rt[:, 3:]
+        world = np.concatenate((placed, local[m:]))
+        return poses, world, np.concatenate((local_axes[:m] @ rot, local_axes[m:]))
 
     def world_vertices(self, thetas) -> dict:
         """World vertex arrays of every collision node at the given state."""
-        _, world = self._placed(thetas)
+        world = self._placed(thetas)[1]
         return {
             node: world[i, :count]
             for i, (node, count) in enumerate(zip(self.nodes, self._counts))
@@ -828,23 +850,33 @@ def pair_margins(world: dict, pairs) -> np.ndarray:
 
 
 def _clear_pairs(
-    P: np.ndarray, I: np.ndarray, J: np.ndarray, clearance: float
+    P: np.ndarray,
+    axes: np.ndarray,
+    keep: np.ndarray,
+    I: np.ndarray,
+    J: np.ndarray,
+    clearance: float,
+    skew: float,
 ) -> np.ndarray:
     """Whether each pair (P[I], P[J]) has a separating-axis margin > clearance.
 
     Equal, pair for pair, to polygon_margins_batch(P[I], P[J]) > clearance.
+    axes and keep are the polygons' own axes and mask, as plate_axis_bounds
+    takes them. run() passes the axes Manipulator._placed places with the
+    vertices, and skew, the Manipulator._skew that bounds how far they may
+    be off the polygons' own; axes from plate_axes(P) have skew 0.
     plate_axis_bounds certifies most pairs clear at a fraction of the
     kernel's cost; only the rest reach polygon_margins_batch. The bound and
-    the kernel project with different numpy routines, so a pair is
-    certified only when its bound clears the clearance by far more than
-    their rounding difference; every other pair gets the kernel's own
-    decision. run() takes its watched set at the start and checks every
-    step through this one routine.
+    the kernel derive their axes and project by different routines, so a
+    pair is certified only when its bound clears the clearance by far more
+    than their difference can reach; every other pair gets the kernel's
+    own decision. run() takes its watched set at the start and checks
+    every step through this one routine.
     """
     if not len(I):
         return np.ones(0, dtype=bool)
-    slack = 1e-12 * (1.0 + float(np.abs(P).max()))
-    clear = plate_axis_bounds(P, I, J) > clearance + slack
+    slack = (1e-12 + 8.0 * skew) * (1.0 + float(np.abs(P).max()))
+    clear = plate_axis_bounds(P, axes, keep, I, J) > clearance + slack
     near = ~clear
     if near.any():
         clear[near] = polygon_margins_batch(P[I[near]], P[J[near]]) > clearance
@@ -887,15 +919,17 @@ def run(
             raise SpecError("phase steps must be at least 1")
 
     thetas = manipulator.semi_flat_thetas()
-    poses, world = manipulator._placed(thetas)
+    keep, skew = manipulator._keep, manipulator._skew
+    poses, world, axes = manipulator._placed(thetas)
     I, J = manipulator._pair_rows
-    watched = _clear_pairs(world, I, J, collision_clearance)
+    watched = _clear_pairs(world, axes, keep, I, J, collision_clearance, skew)
     wi, wj = I[watched], J[watched]
 
     def clear_poses(cand):
         """The plate poses at cand, or None if a watched pair is blocked."""
-        poses, world = manipulator._placed(cand)
-        return poses if _clear_pairs(world, wi, wj, collision_clearance).all() else None
+        poses, world, axes = manipulator._placed(cand)
+        clear = _clear_pairs(world, axes, keep, wi, wj, collision_clearance, skew)
+        return poses if clear.all() else None
 
     frames = []
     mu, mp, _ = manipulator.spec.marker

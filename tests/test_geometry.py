@@ -471,7 +471,8 @@ def _placed_pair(draw):
 def test_plate_axis_bound_never_exceeds_margin(pair):
     P = pad_polygons(list(pair))
     margin = polygon_margins_batch(P[:1], P[1:])[0]
-    both = plate_axis_bounds(P, np.array([0, 1]), np.array([1, 0]))
+    axes, keep, _ = plate_axes(P)
+    both = plate_axis_bounds(P, axes, keep, np.array([0, 1]), np.array([1, 0]))
     assert both[0] == both[1]
     assert both[0] <= margin + 1e-12
 
@@ -510,4 +511,19 @@ def test_plate_axis_bounds_matches_all_to_all_layout(state):
     manip, thetas = state
     P = pad_polygons(list(manip.world_vertices(thetas).values()))
     I, J = np.triu_indices(len(P), 1)
-    assert np.array_equal(plate_axis_bounds(P, I, J), _all_to_all_axis_bounds(P, I, J))
+    axes, keep, _ = plate_axes(P)
+    bounds = plate_axis_bounds(P, axes, keep, I, J)
+    assert np.array_equal(bounds, _all_to_all_axis_bounds(P, I, J))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modular_state())
+def test_placed_axes_match_world_axes(state):
+    # Manipulator._placed turns each node's build-time axes with its
+    # vertices; they must be the axes plate_axes derives from the placed
+    # polygons, up to rounding, with the same mask.
+    manip, thetas = state
+    _, world, axes = manip._placed(thetas)
+    expect, keep, _ = plate_axes(world)
+    assert np.array_equal(manip._keep, keep)
+    assert np.abs(axes - expect).max() < 1e-12

@@ -1,6 +1,7 @@
 """Manipulator assembly, presets, schedule runs, and trajectory export."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,7 +40,7 @@ from selflock import (
     translational_link_lengths,
     workspace_projection,
 )
-from selflock.geometry import pad_polygons
+from selflock.geometry import pad_polygons, plate_axes, plate_axis_bounds
 from selflock.linkage import mpf_theta1, semi_flat_theta1
 from selflock.manipulator import _clear_pairs, _conn_from_json, _node_rows
 
@@ -564,8 +565,41 @@ def test_broad_phase_decision_matches_full_kernel(state):
     world = manip.world_vertices(thetas)
     I, J = _node_rows(world, manip.pairs)
     P = pad_polygons(list(world.values()))
-    expect = pair_margins(world, manip.pairs) > clearance
-    assert np.array_equal(_clear_pairs(P, I, J, clearance), expect)
+    margins = pair_margins(world, manip.pairs)
+    expect = margins > clearance
+    axes, keep, _ = plate_axes(P)
+    assert np.array_equal(_clear_pairs(P, axes, keep, I, J, clearance, 0.0), expect)
+    # The run path: the same stack, with the axes placed beside it.
+    _, placed, axes = manip._placed(thetas)
+    assert np.array_equal(placed, P)
+    decision = _clear_pairs(P, axes, manip._keep, I, J, clearance, manip._skew)
+    assert np.array_equal(decision, expect)
+    # What makes the decision exact: the placed axes' bound stays below
+    # every margin, within the slack _clear_pairs allows for rounding.
+    slack = 1e-12 * (1.0 + np.abs(P).max())
+    assert (plate_axis_bounds(P, axes, manip._keep, I, J) <= margins + slack).all()
+
+
+def test_broad_phase_exact_under_skewed_spec_pose():
+    # A spec pose need only be orthonormal to the Pose check's 1e-9; one
+    # off by 2e-11 turns every placed axis off its polygon's own by about
+    # that much. Set each pair's clearance to its own margin: the kernel
+    # calls every such pair blocked, and the bound must not certify one.
+    spec = preset_rotational(math.radians(89), math.radians(89))
+    conns = tuple(
+        dataclasses.replace(c, pose=Pose(c.pose.r * (1.0 + 1e-11), c.pose.t))
+        if isinstance(c, Base)
+        else c
+        for c in spec.connections
+    )
+    manip = build(dataclasses.replace(spec, connections=conns))
+    assert manip._skew > 1e-11
+    _, P, axes = manip._placed(manip.semi_flat_thetas())
+    I, J = manip._pair_rows
+    margins = polygon_margins_batch(P[I], P[J])
+    for k in np.flatnonzero(margins >= 0.0):
+        pair = I[k : k + 1], J[k : k + 1]
+        assert not _clear_pairs(P, axes, manip._keep, *pair, margins[k], manip._skew)[0]
 
 
 def _rotation_bytes(manip, thetas) -> bytes:
