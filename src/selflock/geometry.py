@@ -303,8 +303,7 @@ def _unit_constants(alpha: float) -> tuple:
     Returns the local fold directions u12, u23 and u34, their Rodrigues
     terms as rotation_about computes them, the fixed rotation that moves
     plate 4 from its chain-side layout to the ground-aligned one, and the
-    cos(alpha), sin(alpha)^2 and cos(alpha)^2 of the closed-form joint
-    angles. Every caller shares these arrays, so they are read-only. An
+    cos(alpha) and sin(alpha) of the closed-form joint angles. Every caller shares these arrays, so they are read-only. An
     invalid alpha raises here, and lru_cache keeps no entry for a call that
     raised.
     """
@@ -314,7 +313,7 @@ def _unit_constants(alpha: float) -> tuple:
         for phi in (math.pi / 2 - alpha, math.pi / 2 - 2 * alpha, -2 * alpha)
     )
     relayout = _read_only(rotation_about(ZHAT, -2 * alpha - math.pi))
-    closed = (math.cos(alpha), math.sin(alpha) ** 2, math.cos(alpha) ** 2)
+    closed = (math.cos(alpha), math.sin(alpha))
     return dirs, tuple(_axis_terms(d) for d in dirs), relayout, closed
 
 
@@ -336,7 +335,7 @@ class UnitKinematics:
         terms = np.array([c[1] for c in consts]).transpose(2, 1, 0, 3, 4)
         self._outer, self._cross = np.ascontiguousarray(terms)
         self._relayout = np.array([c[2] for c in consts])
-        self._cos, self._sin2, self._cos2 = np.array([c[3] for c in consts]).T
+        self._cos, self._sin = np.array([c[3] for c in consts]).T
         # The Down mirror diag(1, 1, -1) R diag(1, 1, -1) as R * signs + zero
         # per unit. Up units take signs 1 and zero -0.0, which leave every
         # float as it is. Down units take zero +0.0: at theta1 = 0 some
@@ -361,7 +360,7 @@ class UnitKinematics:
         """
         theta1 = np.asarray(theta1, dtype=float)
         t4 = theta4_up(self._cos, theta1)
-        t3 = theta3_up(self._sin2, self._cos2, theta1)
+        t3 = theta3_up(self._sin, theta1)
         r12, r23, r34 = _rodrigues(self._outer, self._cross, -np.array((theta1, t4, t3)))
         rt = self._blank.copy()
         rt[:, 1, :3] = r12

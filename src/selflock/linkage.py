@@ -202,31 +202,28 @@ def theta4_up(cos_alpha, theta1):
 def theta3_of_theta1(alpha: float, theta1, config: Configuration):
     """Fold angle between plates 3 and 4 as a closed form of theta1.
 
-    The Up branch is arccos(sin(alpha)^2 * cos(theta1) - cos(alpha)^2);
-    Down negates it. The cosine argument is clamped only against rounding
-    within 1e-12 of the interval ends; anything farther out raises. theta1
-    is a float or an ndarray, as for theta4_of_theta1.
+    The Up branch is arccos(sin(alpha)^2 * cos(theta1) - cos(alpha)^2),
+    evaluated in its half-angle form
+
+        theta3 = 2 * arccos(sin(alpha) * |cos(theta1 / 2)|)
+
+    Next to the fold-over theta1 = +-pi the first form's argument rounds
+    to -1, where arccos has an infinite slope; the half-angle argument lies
+    in [0, sin(alpha)], where it is well conditioned and never leaves the
+    domain. Down negates it. theta1 is a float or an ndarray, as for
+    theta4_of_theta1.
     """
     _check_alpha(alpha)
-    up = theta3_up(math.sin(alpha) ** 2, math.cos(alpha) ** 2, theta1)
-    return _float_or_array(config.sign * up)
+    return _float_or_array(config.sign * theta3_up(math.sin(alpha), theta1))
 
 
-def theta3_up(sin2_alpha, cos2_alpha, theta1):
-    """The Up-branch theta3 of theta1 at given sin(alpha)^2 and cos(alpha)^2.
+def theta3_up(sin_alpha, theta1):
+    """The Up-branch theta3 of theta1 at a given sin(alpha), unchecked.
 
-    The closed form of theta3_of_theta1, with its domain guard; the
-    arguments broadcast as for theta4_up.
+    The closed form of theta3_of_theta1; the arguments broadcast as for
+    theta4_up.
     """
-    arg = sin2_alpha * np.cos(theta1) - cos2_alpha
-    over = abs(arg) > 1.0
-    if np.count_nonzero(over):
-        far = abs(arg) > 1.0 + 1e-12
-        if np.count_nonzero(far):
-            bad = float(np.ravel(arg)[np.argmax(far)])
-            raise DomainError(f"cos(theta3) argument {bad!r} outside [-1, 1]")
-        arg = np.where(over, np.copysign(1.0, arg), arg)
-    return np.arccos(arg)
+    return 2.0 * np.arccos(sin_alpha * np.abs(np.cos(0.5 * theta1)))
 
 
 def joint_state(alpha: float, theta1: float, config: Configuration) -> JointState:

@@ -144,33 +144,33 @@ def _pins(spec, schedule, clearance, include_poses) -> tuple:
 # name: (phase_committed_steps, exact digest, 9-digit marker digest,
 # round-tripped spec_sha256), each digest its first 16 hex digits.
 _PINNED = {
-    "rotational": ([20, 20], "e3cd2232b431437c", "6fe52efde53de55f", "3db74c7a3a5b86cd"),
-    "translational": ([20, 20, 20, 20], "7404b12092ed8e44", "3ad0dd8fe3c58b32", "4099fce1f0cfb510"),
-    "modular": ([20, 20, 20, 14], "b17608c206c58d6a", "2f41837e5ce62962", "3c231e50d933aabe"),
-    "chain0": ([0, 0], "009f56b70061feb1", "7b90c1971d862c10", "e22e41b367fd1946"),
-    "chain1": ([9, 2, 19, 8, 16, 9], "56eaa63026a680e3", "714b25969080d625", "81292c373340007a"),
-    "chain2": ([12, 7, 2, 7, 18], "a983a2bb705d412f", "14042e8c3af1aa2a", "f49c74dee720fa3f"),
-    "chain3": ([20, 20, 20], "509749f41862bd8e", "5ea4f83110f3546c", "f442f5d19f281e87"),
-    "chain4": ([9, 2, 2], "13976312e3c0a339", "dbacd5b0926d609f", "c0505047d73269ee"),
-    "chain5": ([2, 3, 3, 3], "95d734a05ba9ba92", "bd65821e4205287d", "0e27450f602f6b85"),
-    "chain6": ([5], "56881fbba8590a1e", "ed194e9f062c91e0", "4f6dea9778df9c8a"),
-    "chain7": ([3, 2], "51585c907f8e8ad3", "dd50d93e4beac4a9", "781b20ca1cc80bd2"),
-    "chain8": ([17, 14, 9, 15, 10, 4], "0f1473f5a74e8eec", "314d2ded6b96d8c2", "6f2d5f43ff2e7afe"),
-    "chain9": ([7], "367212aab468b0c1", "d47fcfcaf7f9be9f", "9dcb1da79e6cfe50"),
-    "chain10": ([10, 16, 14, 2, 11], "55a2993b2c590b0b", "123dac871165df10", "07161f1ae411ec27"),
-    "chain11": ([4, 8, 16], "3701b9e77ac75175", "8895c949de362fa3", "4123c5be0154c667"),
-    "chain12": ([9, 9, 9, 9, 9], "1155b72c71db6214", "14f57c7ad5d9d140", "bc8a781f913efff7"),
-    "chain13": ([5], "bbb501d8e8eebaa7", "6cf77a7f0cc68595", "0e5778c630de5248"),
-    "chain14": ([6, 4, 2, 2, 2, 5], "be16fab77df8d11f", "65f4c66fc8971fdc", "4a344ceaf611a21a"),
-    "chain15": ([4, 4], "d6e78b6cffe923dc", "01ba186bfc4db8da", "2ad008df7b4978da"),
-    "chain16": ([2, 1, 13, 4], "6f4b65ab472d03c3", "369e61aa0cbcdf90", "3ec8bd97dbce119a"),
-    "chain17": ([6, 19, 19, 4, 4, 6], "796ca0b949b76a76", "d229b517766da664", "b4006cfd7c5007b8"),
-    "chain18": ([17, 17, 17, 17, 17, 17, 17], "50dbaba8413f9c0f", "0345130c09439d40", "d3960b72b60e5b38"),
-    "chain19": ([14], "6591996a3cae699e", "794e5137ebe7595f", "6a8aa553d5cc836e"),
-    "chain20": ([4, 9, 8, 11, 5, 9, 11, 12], "4d8d34d476850788", "412623aa802863da", "35dde3511fb28061"),
-    "chain21": ([5, 5, 5, 5], "01d75e65f3d305e4", "032842539416df63", "6477b52111f08706"),
-    "chain22": ([0, 6, 6], "35a4065a78737ffc", "9f75a3c8f37df8df", "d9d68a18250ac26a"),
-    "chain23": ([4, 1, 2, 3], "19c2407f86848895", "4b703e38c559a6ad", "705acd847dc23bad"),
+    "rotational": ([20, 20], "60ab6d7fbb966a47", "6fe52efde53de55f", "3db74c7a3a5b86cd"),
+    "translational": ([20, 20, 20, 20], "e16cc5ae7641d1f9", "3ad0dd8fe3c58b32", "4099fce1f0cfb510"),
+    "modular": ([20, 20, 20, 14], "f1e4d7517f517ba7", "2f41837e5ce62962", "3c231e50d933aabe"),
+    "chain0": ([0, 0], "8b9a99004456d876", "7b90c1971d862c10", "e22e41b367fd1946"),
+    "chain1": ([9, 2, 19, 8, 16, 9], "c886ac43ea5e0279", "714b25969080d625", "81292c373340007a"),
+    "chain2": ([12, 7, 2, 7, 18], "91b302ac1878ae34", "14042e8c3af1aa2a", "f49c74dee720fa3f"),
+    "chain3": ([20, 20, 20], "44f11f8711c10d99", "5ea4f83110f3546c", "f442f5d19f281e87"),
+    "chain4": ([9, 2, 2], "b949b9ef4d074f80", "dbacd5b0926d609f", "c0505047d73269ee"),
+    "chain5": ([2, 3, 3, 3], "8737c773e5686b1d", "bd65821e4205287d", "0e27450f602f6b85"),
+    "chain6": ([5], "e369396faadaf6c2", "ed194e9f062c91e0", "4f6dea9778df9c8a"),
+    "chain7": ([3, 2], "1069bd641d67a761", "dd50d93e4beac4a9", "781b20ca1cc80bd2"),
+    "chain8": ([17, 14, 9, 15, 10, 4], "a2c1b506fb697139", "314d2ded6b96d8c2", "6f2d5f43ff2e7afe"),
+    "chain9": ([7], "7995416c26c16864", "d47fcfcaf7f9be9f", "9dcb1da79e6cfe50"),
+    "chain10": ([10, 16, 14, 2, 11], "5dee557896e1de3b", "123dac871165df10", "07161f1ae411ec27"),
+    "chain11": ([4, 8, 16], "6dd17a0372126153", "8895c949de362fa3", "4123c5be0154c667"),
+    "chain12": ([9, 9, 9, 9, 9], "89c05f5598dcf9ef", "14f57c7ad5d9d140", "bc8a781f913efff7"),
+    "chain13": ([5], "46cd41699812280d", "6cf77a7f0cc68595", "0e5778c630de5248"),
+    "chain14": ([6, 4, 2, 2, 2, 5], "1fff98aa2db50e33", "65f4c66fc8971fdc", "4a344ceaf611a21a"),
+    "chain15": ([4, 4], "dc8636d1522d11f1", "01ba186bfc4db8da", "2ad008df7b4978da"),
+    "chain16": ([2, 1, 13, 4], "a5a986522f38c95b", "369e61aa0cbcdf90", "3ec8bd97dbce119a"),
+    "chain17": ([6, 19, 19, 4, 4, 6], "553514c78ae4b086", "d229b517766da664", "b4006cfd7c5007b8"),
+    "chain18": ([17, 17, 17, 17, 17, 17, 17], "ede6dd1ab5d4cc97", "0345130c09439d40", "d3960b72b60e5b38"),
+    "chain19": ([14], "dccbd3178b1a36c6", "794e5137ebe7595f", "6a8aa553d5cc836e"),
+    "chain20": ([4, 9, 8, 11, 5, 9, 11, 12], "62e2687222e8c070", "412623aa802863da", "35dde3511fb28061"),
+    "chain21": ([5, 5, 5, 5], "6941e1c17352a096", "032842539416df63", "6477b52111f08706"),
+    "chain22": ([0, 6, 6], "c2fef310eee11552", "9f75a3c8f37df8df", "d9d68a18250ac26a"),
+    "chain23": ([4, 1, 2, 3], "e301db5c01d3a259", "4b703e38c559a6ad", "705acd847dc23bad"),
 }
 
 

@@ -271,17 +271,13 @@ def test_unit_kinematics_batch_size_independent(units):
         assert (st_.theta2, st_.theta3, st_.theta4) == (
             config.sign * t4[u], config.sign * t3[u], config.sign * t4[u]
         )
-        # Within 1e-6 rad of the fold-over at +-pi the closed-form theta3
-        # loses half its digits (test_loop_closure_at_fold_over).
-        if abs(theta1) <= math.pi - 1e-6:
-            assert loop_closure_error(ps) < 1e-9
+        assert loop_closure_error(ps) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="theta3 = arccos(arg) with arg rounded to -1")
 def test_loop_closure_at_fold_over():
-    # Next to theta1 = pi the cosine argument of theta3 rounds to -1, where
-    # arccos has an infinite slope: the state misses closure by
-    # sqrt(2 eps) = 1.5e-8 rad.
+    # Next to theta1 = pi the full-angle cosine argument of theta3 rounds to
+    # -1, where arccos has an infinite slope; that form missed closure here
+    # by sqrt(2 eps) = 1.5e-8 rad. The half-angle form stays conditioned.
     ps = unit_poses(1.0625, math.pi - 1e-15, UP)
     assert loop_closure_error(ps) < 1e-9
 
