@@ -303,9 +303,9 @@ def _unit_constants(alpha: float) -> tuple:
     Returns the local fold directions u12, u23 and u34, their Rodrigues
     terms as rotation_about computes them, the fixed rotation that moves
     plate 4 from its chain-side layout to the ground-aligned one, and the
-    cos(alpha) and sin(alpha) of the closed-form joint angles. Every caller shares these arrays, so they are read-only. An
-    invalid alpha raises here, and lru_cache keeps no entry for a call that
-    raised.
+    cos(alpha) and sin(alpha) of the closed-form joint angles. Every caller
+    shares these arrays, so they are read-only. An invalid alpha raises
+    here, and lru_cache keeps no entry for a call that raised.
     """
     CentralAngles.self_lock(alpha)
     dirs = tuple(
@@ -527,10 +527,9 @@ def plate_axis_bounds(
 
     P is an (n, v, 3) stack of convex planar polygons padded as
     pad_polygons does; I and J index its rows. axes and keep are each
-    polygon's own candidate axes and their mask, as plate_axes(P) returns
-    them; a caller that holds only P passes those. Manipulator runs pass
-    axes resolved once in each plate's own frame and rotated with its
-    vertices, which equal plate_axes(P)'s up to rounding. The bound is the
+    polygon's own candidate axes and their mask: plate_axes(P)'s, or, in a
+    manipulator run, axes resolved in each plate's own frame and turned
+    with its vertices, which equal them up to rounding. The bound is the
     best gap over these axes for both polygons of a pair, a subset of the
     kernel's candidate axes, so it never exceeds the kernel's margin (up
     to rounding: the kernel derives its axes from the vertices and
