@@ -621,11 +621,10 @@ class Manipulator:
             rt = np.concatenate((rt, [bp_world[ci].rt for ci in sorted(bp_world)]))
         m = len(rt)
         rot = rt[:, :3].transpose(0, 2, 1)
-        local, local_axes = self._local, self._local_axes
-        # Pose.apply on every moving row at once; axes turn without the shift.
-        placed = local[:m] @ rot + rt[:, 3:]
-        world = np.concatenate((placed, local[m:]))
-        return poses, world, np.concatenate((local_axes[:m] @ rot, local_axes[m:]))
+        local, axes = self._local, self._local_axes
+        # Pose.apply on every moving row at once; the axes turn without the shift.
+        world = np.concatenate((local[:m] @ rot + rt[:, 3:], local[m:]))
+        return poses, world, np.concatenate((axes[:m] @ rot, axes[m:]))
 
     def world_vertices(self, thetas) -> dict:
         """World vertex arrays of every collision node at the given state."""
