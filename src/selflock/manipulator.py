@@ -452,11 +452,11 @@ class Manipulator:
         # unit has at most one parent and the base has none, so the walk
         # reaches exactly the units whose parent links lead to the base; a
         # unit on a cycle or cut off from the base is left out.
-        self._chain = list(children.get(self.base.unit, []))
-        for _, c in self._chain:
-            self._chain.extend(children.get(c.child, []))
-        if len(self._chain) < n - 1:
-            reached = {self.base.unit} | {c.child for _, c in self._chain}
+        chain = list(children.get(self.base.unit, []))
+        for _, c in chain:
+            chain.extend(children.get(c.child, []))
+        if len(chain) < n - 1:
+            reached = {self.base.unit} | {c.child for _, c in chain}
             u = min(u for u in range(n) if u not in reached)
             raise SpecError(f"unit {u} is not connected to the base")
 
@@ -502,16 +502,6 @@ class Manipulator:
         # Each node's own separating axes are fixed in its own frame, so
         # they are resolved here once and placed with the vertices.
         self._local_axes, self._keep, _ = plate_axes(self._local)
-        # Placed axes are the world polygons' own only while every rotation
-        # is orthonormal. Spec poses pass the Pose check at 1e-9, so a
-        # node's world rotation may be off by their summed Gram deviation,
-        # and _clear_pairs widens its slack by it.
-        spec_poses = [self.base.pose] + [
-            p
-            for _, c in self._chain
-            for p in ((c.rel,) if isinstance(c, Weld) else (c.attach_parent, c.attach_child))
-        ]
-        self._skew = sum(float(np.abs(p.r @ p.r.T - np.eye(3)).max()) for p in spec_poses)
         self._counts = [len(p) for p in polys]
         # The marker corner, on its untrimmed plate.
         mesh = plate_meshes(spec.units[mu].alpha, spec.units[mu].plate_sizes[mp])[mp]
@@ -526,11 +516,25 @@ class Manipulator:
         self._body[row[("p", self.base.unit, self.base.plate)]] = ground
         if self.base.slab_side > 0.0:
             self._body[row[("slab",)]] = ground
-        for ci, c in self._chain:
+        # Each chain connection resolves into one link: parent unit and
+        # plate, child unit and plate, and its rigid steps, with a bounding
+        # plate placed after the first. Spec poses pass the Pose check at
+        # 1e-9, which their composes can drift past, so each is replaced by
+        # its nearest rotation.
+        self._base_pose = _nearest_rotation(self.base.pose)
+        self._links, bp_conns = [], []
+        for ci, c in chain:
             body = self._body[row[("p", c.parent, c.parent_plate)]]
             self._body[row[("p", c.child, c.child_plate)]] = body
-            if isinstance(c, BoundingPlate):
+            if isinstance(c, Weld):
+                steps = (c.rel,)
+            else:
+                steps = (c.attach_parent, c.attach_child)
                 self._body[row[("bp", ci)]] = body
+                bp_conns.append(ci)
+            steps = tuple(map(_nearest_rotation, steps))
+            self._links.append((c.parent, c.parent_plate, c.child, c.child_plate, steps))
+        self._bp_order = np.argsort(bp_conns)  # bounding plates, chain to node order
 
         # Plates k and k +- 1 (mod 4) of one unit share a fold: their plate
         # indices differ by an odd number.
@@ -576,24 +580,22 @@ class Manipulator:
 
         Returns (frames, plates, bp_world, plate_rt): frames[u] is unit u's
         base pose in the world, plates[u][k] the pose of its plate k in the
-        unit's own frame, over plate_rt[u, k], and bp_world[ci] the world
-        pose of connection ci's bounding plate.
+        unit's own frame, over plate_rt[u, k], and bp_world the world poses
+        of the bounding plates in chain order.
         """
         plate_rt = self._rotations(thetas)
         plates = tuple(tuple(Pose._of(p) for p in unit) for unit in plate_rt)
-        frames = {}
-        bp_world = {}
+        frames = [None] * len(plates)
+        bp_world = []
         bu = self.base.unit
-        frames[bu] = self.base.pose.compose(plates[bu][self.base.plate].inverse())
-        for ci, c in self._chain:
-            pworld = frames[c.parent].compose(plates[c.parent][c.parent_plate])
-            if isinstance(c, Weld):
-                child_base = pworld.compose(c.rel)
-            else:
-                plate_world = pworld.compose(c.attach_parent)
-                bp_world[ci] = plate_world
-                child_base = plate_world.compose(c.attach_child)
-            frames[c.child] = child_base.compose(plates[c.child][c.child_plate].inverse())
+        frames[bu] = self._base_pose.compose(plates[bu][self.base.plate].inverse())
+        for u, k, child, child_plate, steps in self._links:
+            pose = frames[u].compose(plates[u][k])
+            for step in steps[:-1]:
+                pose = pose.compose(step)
+                bp_world.append(pose)
+            pose = pose.compose(steps[-1])
+            frames[child] = pose.compose(plates[child][child_plate].inverse())
         return frames, plates, bp_world, plate_rt
 
     def _placed(self, thetas) -> tuple:
@@ -618,7 +620,7 @@ class Manipulator:
         poses = _RowPose.rows(rt)
         # Bounding plate nodes follow the plates, in connection order.
         if bp_world:
-            rt = np.concatenate((rt, [bp_world[ci].rt for ci in sorted(bp_world)]))
+            rt = np.concatenate((rt, [bp_world[i].rt for i in self._bp_order]))
         m = len(rt)
         rot = rt[:, :3].transpose(0, 2, 1)
         local, axes = self._local, self._local_axes
@@ -640,6 +642,16 @@ class Manipulator:
         mu, mp, _ = self.spec.marker
         pose = frames[mu].compose(plates[mu][mp])
         return pose.apply(self._marker)
+
+
+def _nearest_rotation(pose: Pose) -> Pose:
+    """pose with its rotation R replaced by its nearest rotation.
+
+    One Newton step of the polar decomposition, 1.5 R - 0.5 R R^T R, takes
+    R from the Pose check's 1e-9 to rounding; on 0 and +-1 entries it is exact.
+    """
+    r = pose.r
+    return Pose(1.5 * r - 0.5 * (r @ r.T @ r), pose.t)
 
 
 def _trimmed(unit: UnitSpec, u: int, k: int) -> np.ndarray:
@@ -855,15 +867,14 @@ def _clear_pairs(
     I: np.ndarray,
     J: np.ndarray,
     clearance: float,
-    skew: float,
 ) -> np.ndarray:
     """Whether each pair (P[I], P[J]) has a separating-axis margin > clearance.
 
     Equal, pair for pair, to polygon_margins_batch(P[I], P[J]) > clearance.
     axes and keep are the polygons' own axes and mask, as plate_axis_bounds
-    takes them. run() passes the axes Manipulator._placed places with the
-    vertices, and skew, the Manipulator._skew that bounds how far they may
-    be off the polygons' own; axes from plate_axes(P) have skew 0.
+    takes them; run() passes the axes Manipulator._placed places with the
+    vertices, which equal plate_axes(P)'s up to rounding, because the build
+    holds every rotation of the chain to its nearest rotation.
     plate_axis_bounds certifies most pairs clear at a fraction of the
     kernel's cost; only the rest reach polygon_margins_batch. The bound and
     the kernel derive their axes and project by different routines, so a
@@ -874,7 +885,7 @@ def _clear_pairs(
     """
     if not len(I):
         return np.ones(0, dtype=bool)
-    slack = (1e-12 + 8.0 * skew) * (1.0 + float(np.abs(P).max()))
+    slack = 1e-12 * (1.0 + float(np.abs(P).max()))
     clear = plate_axis_bounds(P, axes, keep, I, J) > clearance + slack
     near = ~clear
     if near.any():
@@ -890,13 +901,13 @@ def run(
 ) -> Trajectory:
     """Drive the manipulator through a schedule, collision-checking each step.
 
-    Every unit starts at its semi-flat state. Sequential mode folds one
-    unit per phase from its current theta1 toward the phase target,
-    linearly over the phase's steps; a candidate step is committed only if
-    no watched plate pair comes within the clearance, and the phase halts
-    at the last collision-free step. Simultaneous mode interpolates all
-    phase targets in lockstep on a shared grid of max(steps) substeps and
-    halts the whole run on the first blocked substep.
+    Every unit starts at its semi-flat state. The schedule runs as legs: a
+    leg moves its units linearly from where they stand toward its targets
+    over its own steps, commits a step only if no watched plate pair comes
+    within the clearance, and halts at its last collision-free step.
+    Sequential mode runs one leg per phase i, its frames at t in (i, i + 1];
+    simultaneous mode runs one leg of every phase target over max(steps)
+    substeps, its frames at t in (0, 1], so a blocked substep halts the run.
 
     Watched pairs are the non-adjacent plate pairs of the assembly; pairs
     already within the clearance at the initial state are structural (for
@@ -918,16 +929,16 @@ def run(
             raise SpecError("phase steps must be at least 1")
 
     thetas = manipulator.semi_flat_thetas()
-    keep, skew = manipulator._keep, manipulator._skew
+    keep = manipulator._keep
     poses, world, axes = manipulator._placed(thetas)
     I, J = manipulator._pair_rows
-    watched = _clear_pairs(world, axes, keep, I, J, collision_clearance, skew)
+    watched = _clear_pairs(world, axes, keep, I, J, collision_clearance)
     wi, wj = I[watched], J[watched]
 
     def clear_poses(cand):
         """The plate poses at cand, or None if a watched pair is blocked."""
         poses, world, axes = manipulator._placed(cand)
-        clear = _clear_pairs(world, axes, keep, wi, wj, collision_clearance, skew)
+        clear = _clear_pairs(world, axes, keep, wi, wj, collision_clearance)
         return poses if clear.all() else None
 
     frames = []
@@ -950,46 +961,32 @@ def run(
         return Frame(t, tuple(thetas), marker, poses)
 
     frames.append(make_frame(0.0, poses))
-    committed = []
     requested = [ph.steps for ph in schedule.phases]
+    # A leg: (t at its start, its steps, the phases it covers, its targets).
+    legs = [
+        (pi, ph.steps, 1, {ph.unit: _target_theta1(ph.target, units[ph.unit].alpha,
+                                                   units[ph.unit].config)})
+        for pi, ph in enumerate(schedule.phases)
+    ]
+    if schedule.mode is Mode.SIMULTANEOUS and legs:
+        targets = {u: tgt for *_, leg in legs for u, tgt in leg.items()}
+        legs = [(0, max(requested), len(legs), targets)]
 
-    if schedule.mode is Mode.SEQUENTIAL:
-        for pi, ph in enumerate(schedule.phases):
-            u = ph.unit
-            start = thetas[u]
-            tgt = _target_theta1(ph.target, units[u].alpha, units[u].config)
-            ncommit = 0
-            for s in range(1, ph.steps + 1):
-                cand = list(thetas)
-                cand[u] = start + (tgt - start) * s / ph.steps
-                poses = clear_poses(cand)
-                if poses is None:
-                    break
-                thetas = cand
-                ncommit = s
-                frames.append(make_frame(pi + s / ph.steps, poses))
-            committed.append(ncommit)
-    else:
+    committed = []
+    for offset, steps, nphases, targets in legs:
         starts = list(thetas)
-        targets = {}
-        for ph in schedule.phases:
-            targets[ph.unit] = _target_theta1(
-                ph.target, units[ph.unit].alpha, units[ph.unit].config
-            )
-        total = max(ph.steps for ph in schedule.phases) if schedule.phases else 0
         ncommit = 0
-        for s in range(1, total + 1):
-            frac = s / total
+        for s in range(1, steps + 1):
             cand = list(thetas)
             for u, tgt in targets.items():
-                cand[u] = starts[u] + (tgt - starts[u]) * frac
+                cand[u] = starts[u] + (tgt - starts[u]) * s / steps
             poses = clear_poses(cand)
             if poses is None:
                 break
             thetas = cand
             ncommit = s
-            frames.append(make_frame(frac, poses))
-        committed = [ncommit for _ in schedule.phases]
+            frames.append(make_frame(offset + s / steps, poses))
+        committed += [ncommit] * nphases
 
     gammas = [
         ph.target.gamma for ph in schedule.phases if isinstance(ph.target, MPF)

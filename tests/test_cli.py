@@ -265,6 +265,28 @@ def test_manip_spec_file_with_embedded_schedule(tmp_path, capsys):
     assert out["meta"]["phase_units"] == [0]
 
 
+def test_manip_spec_with_skewed_rotations_runs(tmp_path, capsys):
+    # Rotations off orthonormal by 4.9e-10 pass the Pose check at 1e-9,
+    # but their composes do not; the build holds each to its nearest
+    # rotation, so the run matches the exact spec's.
+    from selflock import preset_rotational
+
+    runs = {}
+    for name, scale in (("exact", 1.0), ("skewed", 1.0 + 4.9e-10)):
+        data = preset_rotational(math.radians(89), math.radians(89)).to_json_dict()
+        for conn in data["connections"]:
+            pose = conn.get("pose") or conn["rel"]
+            pose["r"] = [[v * scale for v in row] for row in pose["r"]]
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+        path.write_text(json.dumps(data))
+        assert main(["manip", "--spec", str(path), "--out", str(out)]) == 0
+        runs[name] = json.loads(out.read_text())
+    assert "Traceback" not in capsys.readouterr().err
+    exact, skewed = runs["exact"], runs["skewed"]
+    assert skewed["meta"]["phase_committed_steps"] == exact["meta"]["phase_committed_steps"]
+    assert skewed["frames"] == exact["frames"]
+
+
 def test_manip_bad_spec_exit4(tmp_path, capsys):
     out = tmp_path / "traj.json"
     rc = main(["manip", "--spec", str(tmp_path / "missing.json"),

@@ -145,7 +145,7 @@ def _pins(spec, schedule, clearance, include_poses) -> tuple:
 # round-tripped spec_sha256), each digest its first 16 hex digits.
 _PINNED = {
     "rotational": ([20, 20], "60ab6d7fbb966a47", "6fe52efde53de55f", "3db74c7a3a5b86cd"),
-    "translational": ([20, 20, 20, 20], "e16cc5ae7641d1f9", "3ad0dd8fe3c58b32", "4099fce1f0cfb510"),
+    "translational": ([20, 20, 20, 20], "e800048588aa9c72", "3ad0dd8fe3c58b32", "4099fce1f0cfb510"),
     "modular": ([20, 20, 20, 14], "f1e4d7517f517ba7", "2f41837e5ce62962", "3c231e50d933aabe"),
     "chain0": ([0, 0], "8b9a99004456d876", "7b90c1971d862c10", "e22e41b367fd1946"),
     "chain1": ([9, 2, 19, 8, 16, 9], "c886ac43ea5e0279", "714b25969080d625", "81292c373340007a"),
@@ -159,13 +159,13 @@ _PINNED = {
     "chain9": ([7], "7995416c26c16864", "d47fcfcaf7f9be9f", "9dcb1da79e6cfe50"),
     "chain10": ([10, 16, 14, 2, 11], "5dee557896e1de3b", "123dac871165df10", "07161f1ae411ec27"),
     "chain11": ([4, 8, 16], "6dd17a0372126153", "8895c949de362fa3", "4123c5be0154c667"),
-    "chain12": ([9, 9, 9, 9, 9], "89c05f5598dcf9ef", "14f57c7ad5d9d140", "bc8a781f913efff7"),
+    "chain12": ([9, 9, 9, 9, 9], "0f28c302a3689a71", "14f57c7ad5d9d140", "bc8a781f913efff7"),
     "chain13": ([5], "46cd41699812280d", "6cf77a7f0cc68595", "0e5778c630de5248"),
     "chain14": ([6, 4, 2, 2, 2, 5], "1fff98aa2db50e33", "65f4c66fc8971fdc", "4a344ceaf611a21a"),
     "chain15": ([4, 4], "dc8636d1522d11f1", "01ba186bfc4db8da", "2ad008df7b4978da"),
     "chain16": ([2, 1, 13, 4], "a5a986522f38c95b", "369e61aa0cbcdf90", "3ec8bd97dbce119a"),
     "chain17": ([6, 19, 19, 4, 4, 6], "553514c78ae4b086", "d229b517766da664", "b4006cfd7c5007b8"),
-    "chain18": ([17, 17, 17, 17, 17, 17, 17], "ede6dd1ab5d4cc97", "0345130c09439d40", "d3960b72b60e5b38"),
+    "chain18": ([17, 17, 17, 17, 17, 17, 17], "4765e4f1a8fc30ca", "0345130c09439d40", "d3960b72b60e5b38"),
     "chain19": ([14], "dccbd3178b1a36c6", "794e5137ebe7595f", "6a8aa553d5cc836e"),
     "chain20": ([4, 9, 8, 11, 5, 9, 11, 12], "62e2687222e8c070", "412623aa802863da", "35dde3511fb28061"),
     "chain21": ([5, 5, 5, 5], "6941e1c17352a096", "032842539416df63", "6477b52111f08706"),

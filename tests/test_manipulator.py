@@ -285,7 +285,7 @@ def test_build_rejects_exactly_the_invalid_graphs(case):
             build(spec)
     else:
         manip = build(spec)
-        assert len(manip._chain) == len(spec.units) - 1
+        assert len(manip._links) == len(spec.units) - 1
 
 
 def test_base_slab_side_validation():
@@ -568,11 +568,11 @@ def test_broad_phase_decision_matches_full_kernel(state):
     margins = pair_margins(world, manip.pairs)
     expect = margins > clearance
     axes, keep, _ = plate_axes(P)
-    assert np.array_equal(_clear_pairs(P, axes, keep, I, J, clearance, 0.0), expect)
+    assert np.array_equal(_clear_pairs(P, axes, keep, I, J, clearance), expect)
     # The run path: the same stack, with the axes placed beside it.
     _, placed, axes = manip._placed(thetas)
     assert np.array_equal(placed, P)
-    decision = _clear_pairs(P, axes, manip._keep, I, J, clearance, manip._skew)
+    decision = _clear_pairs(P, axes, manip._keep, I, J, clearance)
     assert np.array_equal(decision, expect)
     # What makes the decision exact: the placed axes' bound stays below
     # every margin, within the slack _clear_pairs allows for rounding.
@@ -580,26 +580,61 @@ def test_broad_phase_decision_matches_full_kernel(state):
     assert (plate_axis_bounds(P, axes, manip._keep, I, J) <= margins + slack).all()
 
 
+def _skewed(spec, scale):
+    """spec with its base and weld rotations scaled by scale."""
+
+    def skew(c):
+        if isinstance(c, Base):
+            return dataclasses.replace(c, pose=Pose(c.pose.r * scale, c.pose.t))
+        if isinstance(c, Weld):
+            return dataclasses.replace(c, rel=Pose(c.rel.r * scale, c.rel.t))
+        return c
+
+    return dataclasses.replace(spec, connections=tuple(map(skew, spec.connections)))
+
+
 def test_broad_phase_exact_under_skewed_spec_pose():
-    # A spec pose need only be orthonormal to the Pose check's 1e-9; one
-    # off by 2e-11 turns every placed axis off its polygon's own by about
-    # that much. Set each pair's clearance to its own margin: the kernel
-    # calls every such pair blocked, and the bound must not certify one.
-    spec = preset_rotational(math.radians(89), math.radians(89))
-    conns = tuple(
-        dataclasses.replace(c, pose=Pose(c.pose.r * (1.0 + 1e-11), c.pose.t))
-        if isinstance(c, Base)
-        else c
-        for c in spec.connections
-    )
-    manip = build(dataclasses.replace(spec, connections=conns))
-    assert manip._skew > 1e-11
+    # A spec pose need only be orthonormal to the Pose check's 1e-9. The
+    # build holds each to its nearest rotation, so the placed axes stay the
+    # world polygons' own up to rounding, as for exact spec poses.
+    manip = build(_skewed(preset_rotational(math.radians(89), math.radians(89)), 1 + 4.9e-10))
     _, P, axes = manip._placed(manip.semi_flat_thetas())
+    own, keep, _ = plate_axes(P)
+    assert np.array_equal(keep, manip._keep)
+    assert np.abs(axes - own)[keep].max() <= 1e-12
+    # Set each pair's clearance to its own margin: the kernel calls every
+    # such pair blocked, and the bound must not certify one.
     I, J = manip._pair_rows
     margins = polygon_margins_batch(P[I], P[J])
     for k in np.flatnonzero(margins >= 0.0):
         pair = I[k : k + 1], J[k : k + 1]
-        assert not _clear_pairs(P, axes, manip._keep, *pair, margins[k], manip._skew)[0]
+        assert not _clear_pairs(P, axes, manip._keep, *pair, margins[k])[0]
+
+
+def test_bounding_plates_out_of_chain_order_place_their_own_squares():
+    # The chain walks unit 0's bounding plate (connection 2) before unit
+    # 1's (connection 1); node order, and so the rows of _placed, follows
+    # the connection list.
+    turn = Pose(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.array([-20.0, 45.0, 0.0]))
+    flush = Pose(np.eye(3), np.array([-25.0, 0.0, 0.0]))
+    conns = (
+        Base(0),
+        BoundingPlate(1, 3, 2, 0, 30.0, flush, turn),
+        BoundingPlate(0, 3, 1, 0, 20.0, flush, turn),
+    )
+    spec = ManipulatorSpec(tuple(_unit() for _ in range(3)), conns, (2, 3, 2))
+    manip = build(spec)
+    thetas = manip.semi_flat_thetas()
+    frames, plates, _, _ = manip._frames(thetas)
+    world = manip._placed(thetas)[1]
+    for ci in (1, 2):
+        c = spec.connections[ci]
+        s = c.side
+        square = np.array([[0.0, 0.0, 0.0], [0.0, s, 0.0], [-s, s, 0.0], [-s, 0.0, 0.0]])
+        pose = frames[c.parent].compose(plates[c.parent][c.parent_plate])
+        row = world[manip.nodes.index(("bp", ci))]
+        assert np.allclose(row[:4], pose.compose(c.attach_parent).apply(square), atol=1e-9)
 
 
 def _rotation_bytes(manip, thetas) -> bytes:
