@@ -360,7 +360,7 @@ class UnitKinematics:
         """
         theta1 = np.asarray(theta1, dtype=float)
         t4 = theta4_up(self._cos, theta1)
-        t3 = theta3_up(self._sin, theta1)
+        t3 = theta3_up(self._cos, self._sin, theta1)
         r12, r23, r34 = _rodrigues(self._outer, self._cross, -np.array((theta1, t4, t3)))
         rt = self._blank.copy()
         rt[:, 1, :3] = r12

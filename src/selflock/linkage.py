@@ -203,27 +203,35 @@ def theta3_of_theta1(alpha: float, theta1, config: Configuration):
     """Fold angle between plates 3 and 4 as a closed form of theta1.
 
     The Up branch is arccos(sin(alpha)^2 * cos(theta1) - cos(alpha)^2),
-    evaluated in its half-angle form
+    evaluated in its half-angle form 2 * arccos(x) with
+    x = sin(alpha) * |cos(theta1 / 2)|, as
 
-        theta3 = 2 * arccos(sin(alpha) * |cos(theta1 / 2)|)
+        theta3 = 2 * atan2(hypot(cos(alpha), sin(alpha) * sin(theta1 / 2)), x)
 
     Next to the fold-over theta1 = +-pi the first form's argument rounds
-    to -1, where arccos has an infinite slope; the half-angle argument lies
-    in [0, sin(alpha)], where it is well conditioned and never leaves the
-    domain. Down negates it. theta1 is a float or an ndarray, as for
-    theta4_of_theta1.
+    to -1, and next to the flat-foldable limit (alpha -> pi/2, theta1 -> 0)
+    x rounds to 1; arccos has an infinite slope at both. The atan2 form
+    takes sqrt(1 - x^2) from its exact parts, cos(alpha)^2 +
+    (sin(alpha) * sin(theta1 / 2))^2, so it stays conditioned at both and
+    never leaves a domain. Down negates it. theta1 is a float or an
+    ndarray, as for theta4_of_theta1.
     """
     _check_alpha(alpha)
-    return _float_or_array(config.sign * theta3_up(math.sin(alpha), theta1))
+    return _float_or_array(
+        config.sign * theta3_up(math.cos(alpha), math.sin(alpha), theta1)
+    )
 
 
-def theta3_up(sin_alpha, theta1):
-    """The Up-branch theta3 of theta1 at a given sin(alpha), unchecked.
+def theta3_up(cos_alpha, sin_alpha, theta1):
+    """The Up-branch theta3 of theta1 at a given cos(alpha) and sin(alpha), unchecked.
 
     The closed form of theta3_of_theta1; the arguments broadcast as for
     theta4_up.
     """
-    return 2.0 * np.arccos(sin_alpha * np.abs(np.cos(0.5 * theta1)))
+    half = 0.5 * theta1
+    return 2.0 * np.arctan2(
+        np.hypot(cos_alpha, sin_alpha * np.sin(half)), sin_alpha * np.abs(np.cos(half))
+    )
 
 
 def joint_state(alpha: float, theta1: float, config: Configuration) -> JointState:

@@ -282,6 +282,15 @@ def test_loop_closure_at_fold_over():
     assert loop_closure_error(ps) < 1e-9
 
 
+def test_loop_closure_at_flat_foldable_limit():
+    # Next to alpha = pi/2 with theta1 -> 0 the half-angle arccos argument
+    # of theta3 rounds to 1; that form gave theta3 = 0 here, not 1.0198e-8,
+    # and missed closure by 1.0e-8 rad. The atan2 form stays conditioned.
+    for config in (UP, DOWN):
+        ps = unit_poses(math.pi / 2 - 1e-9, 1e-8, config)
+        assert loop_closure_error(ps) < 1e-15
+
+
 def test_unit_poses_cache_keeps_constants_and_errors():
     alpha, theta1 = math.radians(83), math.radians(20)
     first = unit_poses(alpha, theta1, DOWN)
