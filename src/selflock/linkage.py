@@ -223,7 +223,7 @@ def theta3_of_theta1(alpha: float, theta1, config: Configuration):
 
 
 def theta3_up(cos_alpha, sin_alpha, theta1):
-    """The Up-branch theta3 of theta1 at a given cos(alpha) and sin(alpha), unchecked.
+    """The Up-branch theta3 of theta1 at given cos(alpha), sin(alpha), unchecked.
 
     The closed form of theta3_of_theta1; the arguments broadcast as for
     theta4_up.

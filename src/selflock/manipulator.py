@@ -254,7 +254,8 @@ class ActivationSchedule:
         return _from_json(cls, d, path, phases=phases)
 
 
-def _target_theta1(target, alpha: float, config: Configuration) -> float:
+def _target_theta1(target, unit: UnitSpec) -> float:
+    alpha, config = unit.alpha, unit.config
     if isinstance(target, MPF):
         return mpf_theta1(alpha, target.gamma, config)
     if isinstance(target, SemiFlat):
@@ -612,7 +613,7 @@ class Manipulator:
         frames, _, bp_world, plate_rt = self._frames(thetas)
         # frames[u].compose(plates[u][k]) for every plate at once, each entry
         # by the same products and sums.
-        f = np.array([frames[u].rt for u in range(len(self.units))])[:, None]
+        f = np.array([pose.rt for pose in frames])[:, None]
         rt = np.empty_like(plate_rt)
         rt[:, :, :3] = f[..., :3, :] @ plate_rt[:, :, :3]
         rt[:, :, 3] = (f[..., :3, :] @ plate_rt[:, :, 3, :, None])[..., 0] + f[..., 3, :]
@@ -964,8 +965,7 @@ def run(
     requested = [ph.steps for ph in schedule.phases]
     # A leg: (t at its start, its steps, the phases it covers, its targets).
     legs = [
-        (pi, ph.steps, 1, {ph.unit: _target_theta1(ph.target, units[ph.unit].alpha,
-                                                   units[ph.unit].config)})
+        (pi, ph.steps, 1, {ph.unit: _target_theta1(ph.target, units[ph.unit])})
         for pi, ph in enumerate(schedule.phases)
     ]
     if schedule.mode is Mode.SIMULTANEOUS and legs:
