@@ -498,7 +498,6 @@ class Manipulator:
         self._kinematics = UnitKinematics(
             [u.alpha for u in spec.units], [u.config for u in spec.units]
         )
-        self._last_rotations = (None, None)
         self._local = pad_polygons(polys)
         # Each node's own separating axes are fixed in its own frame, so
         # they are resolved here once and placed with the vertices.
@@ -561,30 +560,15 @@ class Manipulator:
     def semi_flat_thetas(self) -> list:
         return [semi_flat_theta1(u.alpha, u.config) for u in self.units]
 
-    def _rotations(self, thetas) -> np.ndarray:
-        """The plate rotations of UnitKinematics.rotations at theta1s, read-only.
+    def _frames(self, plate_rt):
+        """Unit base poses, plate poses and bounding plate poses of one state.
 
-        A run checks a state, then takes its marker at that same state, so
-        the last result is kept and reused when the theta bytes repeat. The
-        key is the bytes, not the values: equal bytes are the same input,
-        while equal values also match -0.0 with 0.0.
+        plate_rt is the (n, 4, 4, 3) block of UnitKinematics.rotations at
+        the state's theta1s. Returns (frames, plates, bp_world): frames[u]
+        is unit u's base pose in the world, plates[u][k] the pose of its
+        plate k in the unit's own frame, over plate_rt[u, k], and bp_world
+        the world poses of the bounding plates in chain order.
         """
-        key = np.asarray(thetas, dtype=float).tobytes()
-        if key != self._last_rotations[0]:
-            plate_rt = self._kinematics.rotations(thetas)[0]
-            plate_rt.flags.writeable = False
-            self._last_rotations = (key, plate_rt)
-        return self._last_rotations[1]
-
-    def _frames(self, thetas):
-        """Unit base poses, plate poses and bounding plate poses at theta1s.
-
-        Returns (frames, plates, bp_world, plate_rt): frames[u] is unit u's
-        base pose in the world, plates[u][k] the pose of its plate k in the
-        unit's own frame, over plate_rt[u, k], and bp_world the world poses
-        of the bounding plates in chain order.
-        """
-        plate_rt = self._rotations(thetas)
         plates = tuple(tuple(Pose._of(p) for p in unit) for unit in plate_rt)
         frames = [None] * len(plates)
         bp_world = []
@@ -597,20 +581,22 @@ class Manipulator:
                 bp_world.append(pose)
             pose = pose.compose(steps[-1])
             frames[child] = pose.compose(plates[child][child_plate].inverse())
-        return frames, plates, bp_world, plate_rt
+        return frames, plates, bp_world
 
     def _placed(self, thetas) -> tuple:
-        """Plate world poses, unit-major, and the world polygons and their axes.
+        """The plate rotations at theta1s and the state they place.
 
-        Returns (poses, world, axes). Row i of world is node i's collision
-        polygon in world frame, padded as pad_polygons pads it; row i of
-        axes is that polygon's own separating axes, the build-time
-        plate_axes of its local polygon turned by the rotation that places
-        its vertices. They equal plate_axes(world)'s up to rounding, and
-        their mask is the build-time one, Manipulator._keep. The slab rows
-        are the local ones.
+        Returns (plate_rt, poses, world, axes): the UnitKinematics.rotations
+        block, which _marker_at takes, and the plate world poses, unit-major.
+        Row i of world is node i's collision polygon in world frame, padded
+        as pad_polygons pads it; row i of axes is that polygon's own
+        separating axes, the build-time plate_axes of its local polygon
+        turned by the rotation that places its vertices. They equal
+        plate_axes(world)'s up to rounding, and their mask is the build-time
+        one, Manipulator._keep. The slab rows are the local ones.
         """
-        frames, _, bp_world, plate_rt = self._frames(thetas)
+        plate_rt = self._kinematics.rotations(thetas)[0]
+        frames, _, bp_world = self._frames(plate_rt)
         # frames[u].compose(plates[u][k]) for every plate at once, each entry
         # by the same products and sums.
         f = np.array([pose.rt for pose in frames])[:, None]
@@ -627,11 +613,17 @@ class Manipulator:
         local, axes = self._local, self._local_axes
         # Pose.apply on every moving row at once; the axes turn without the shift.
         world = np.concatenate((local[:m] @ rot + rt[:, 3:], local[m:]))
-        return poses, world, np.concatenate((axes[:m] @ rot, axes[m:]))
+        return plate_rt, poses, world, np.concatenate((axes[:m] @ rot, axes[m:]))
+
+    def _marker_at(self, plate_rt) -> np.ndarray:
+        """World position of the marker corner at the state of a _placed block."""
+        frames, plates, _ = self._frames(plate_rt)
+        mu, mp, _ = self.spec.marker
+        return frames[mu].compose(plates[mu][mp]).apply(self._marker)
 
     def world_vertices(self, thetas) -> dict:
         """World vertex arrays of every collision node at the given state."""
-        world = self._placed(thetas)[1]
+        world = self._placed(thetas)[2]
         return {
             node: world[i, :count]
             for i, (node, count) in enumerate(zip(self.nodes, self._counts))
@@ -639,10 +631,7 @@ class Manipulator:
 
     def marker_world(self, thetas) -> np.ndarray:
         """World position of the spec's marker corner at the given state."""
-        frames, plates, _, _ = self._frames(thetas)
-        mu, mp, _ = self.spec.marker
-        pose = frames[mu].compose(plates[mu][mp])
-        return pose.apply(self._marker)
+        return self._marker_at(self._kinematics.rotations(thetas)[0])
 
 
 def _nearest_rotation(pose: Pose) -> Pose:
@@ -931,24 +920,24 @@ def run(
 
     thetas = manipulator.semi_flat_thetas()
     keep = manipulator._keep
-    poses, world, axes = manipulator._placed(thetas)
+    plate_rt, poses, world, axes = manipulator._placed(thetas)
     I, J = manipulator._pair_rows
     watched = _clear_pairs(world, axes, keep, I, J, collision_clearance)
     wi, wj = I[watched], J[watched]
 
-    def clear_poses(cand):
-        """The plate poses at cand, or None if a watched pair is blocked."""
-        poses, world, axes = manipulator._placed(cand)
+    def placed_if_clear(cand):
+        """(plate_rt, poses) of _placed at cand, or None if a watched pair is blocked."""
+        plate_rt, poses, world, axes = manipulator._placed(cand)
         clear = _clear_pairs(world, axes, keep, wi, wj, collision_clearance)
-        return poses if clear.all() else None
+        return (plate_rt, poses) if clear.all() else None
 
     frames = []
     mu, mp, _ = manipulator.spec.marker
 
-    def make_frame(t: float, poses: tuple) -> Frame:
-        """The frame at the current thetas, whose plate poses are given."""
+    def make_frame(t: float, plate_rt: np.ndarray, poses: tuple) -> Frame:
+        """The frame at the current thetas, placed as _placed placed them."""
         if not include_poses:
-            return Frame(t, tuple(thetas), manipulator.marker_world(thetas), None)
+            return Frame(t, tuple(thetas), manipulator._marker_at(plate_rt), None)
         if frames:
             # A plate that has not moved since the last frame keeps that
             # frame's Pose, so a long run holds one object per resting
@@ -957,11 +946,11 @@ def run(
                 old if old.rt.tobytes() == new.rt.tobytes() else new
                 for new, old in zip(poses, frames[-1].poses)
             )
-        # The marker plate's pose is the compose marker_world would make.
+        # The marker plate's pose is the compose _marker_at would make.
         marker = poses[4 * mu + mp].apply(manipulator._marker)
         return Frame(t, tuple(thetas), marker, poses)
 
-    frames.append(make_frame(0.0, poses))
+    frames.append(make_frame(0.0, plate_rt, poses))
     requested = [ph.steps for ph in schedule.phases]
     # A leg: (t at its start, its steps, the phases it covers, its targets).
     legs = [
@@ -980,12 +969,12 @@ def run(
             cand = list(thetas)
             for u, tgt in targets.items():
                 cand[u] = starts[u] + (tgt - starts[u]) * s / steps
-            poses = clear_poses(cand)
-            if poses is None:
+            placed = placed_if_clear(cand)
+            if placed is None:
                 break
             thetas = cand
             ncommit = s
-            frames.append(make_frame(offset + s / steps, poses))
+            frames.append(make_frame(offset + s / steps, *placed))
         committed += [ncommit] * nphases
 
     gammas = [

@@ -528,7 +528,7 @@ def test_placed_axes_match_world_axes(state):
     # vertices; they must be the axes plate_axes derives from the placed
     # polygons, up to rounding, with the same mask.
     manip, thetas = state
-    _, world, axes = manip._placed(thetas)
+    _, _, world, axes = manip._placed(thetas)
     expect, keep, _ = plate_axes(world)
     assert np.array_equal(manip._keep, keep)
     assert np.abs(axes - expect).max() < 1e-12

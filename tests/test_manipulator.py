@@ -570,7 +570,7 @@ def test_broad_phase_decision_matches_full_kernel(state):
     axes, keep, _ = plate_axes(P)
     assert np.array_equal(_clear_pairs(P, axes, keep, I, J, clearance), expect)
     # The run path: the same stack, with the axes placed beside it.
-    _, placed, axes = manip._placed(thetas)
+    _, _, placed, axes = manip._placed(thetas)
     assert np.array_equal(placed, P)
     decision = _clear_pairs(P, axes, manip._keep, I, J, clearance)
     assert np.array_equal(decision, expect)
@@ -598,7 +598,7 @@ def test_broad_phase_exact_under_skewed_spec_pose():
     # build holds each to its nearest rotation, so the placed axes stay the
     # world polygons' own up to rounding, as for exact spec poses.
     manip = build(_skewed(preset_rotational(math.radians(89), math.radians(89)), 1 + 4.9e-10))
-    _, P, axes = manip._placed(manip.semi_flat_thetas())
+    _, _, P, axes = manip._placed(manip.semi_flat_thetas())
     own, keep, _ = plate_axes(P)
     assert np.array_equal(keep, manip._keep)
     assert np.abs(axes - own)[keep].max() <= 1e-12
@@ -626,8 +626,8 @@ def test_bounding_plates_out_of_chain_order_place_their_own_squares():
     spec = ManipulatorSpec(tuple(_unit() for _ in range(3)), conns, (2, 3, 2))
     manip = build(spec)
     thetas = manip.semi_flat_thetas()
-    frames, plates, _, _ = manip._frames(thetas)
-    world = manip._placed(thetas)[1]
+    plate_rt, _, world, _ = manip._placed(thetas)
+    frames, plates, _ = manip._frames(plate_rt)
     for ci in (1, 2):
         c = spec.connections[ci]
         s = c.side
@@ -639,11 +639,11 @@ def test_bounding_plates_out_of_chain_order_place_their_own_squares():
 
 def _rotation_bytes(manip, thetas) -> bytes:
     """The bytes of every plate rotation and every placed polygon at thetas."""
-    plate_rt = manip._frames(thetas)[3]
-    return plate_rt.tobytes() + manip._placed(thetas)[1].tobytes()
+    plate_rt, _, world, _ = manip._placed(thetas)
+    return plate_rt.tobytes() + world.tobytes()
 
 
-def test_rotation_memo_keys_on_bytes():
+def test_placement_bytes_independent_of_signed_zero_order():
     # -0.0 == 0.0 as values but not as bytes; whichever of the two states
     # comes first, each gets the bytes a fresh manipulator gives it.
     spec = preset_rotational(math.radians(89), math.radians(89))
@@ -656,7 +656,7 @@ def test_rotation_memo_keys_on_bytes():
         assert np.array_equal(manip.marker_world(thetas), build(spec).marker_world(thetas))
 
 
-def test_rotation_memo_never_stale():
+def test_placement_bytes_independent_of_call_history():
     spec = preset_modular(tuple(_unit(a) for a in (85.0, 89.0, 80.0)))
     manip = build(spec)
     start = manip.semi_flat_thetas()
@@ -759,7 +759,7 @@ def test_run_include_poses_shares_resting_plates():
     assert traj.meta["phase_committed_steps"] == [3, 3]
     frames = traj.frames
     for frame in frames:
-        world, plates, _, _ = manip._frames(list(frame.theta1s))
+        world, plates, _ = manip._frames(manip._placed(list(frame.theta1s))[0])
         fresh = [world[u].compose(plates[u][k]) for u in range(2) for k in range(4)]
         assert [p.rt.tobytes() for p in frame.poses] == [p.rt.tobytes() for p in fresh]
     for prev, cur in zip(frames, frames[1:]):
@@ -814,9 +814,30 @@ def test_run_include_poses_same_markers_and_poses():
             assert (f.t, f.theta1s) == (g.t, g.theta1s)
             assert f.marker.tobytes() == g.marker.tobytes()
             assert f.marker.tobytes() == manip.marker_world(list(f.theta1s)).tobytes()
-            world, plates, _, _ = manip._frames(list(f.theta1s))
+            world, plates, _ = manip._frames(manip._placed(list(f.theta1s))[0])
             fresh = [world[k // 4].compose(plates[k // 4][k % 4]) for k in range(n)]
             assert [p.rt.tobytes() for p in f.poses] == [p.rt.tobytes() for p in fresh]
+
+
+def test_runs_leave_manipulator_unchanged():
+    # A built manipulator holds no state between calls: a run rebinds none
+    # of its attributes, and gives the bytes of the same run on a fresh build.
+    spec = preset_modular(tuple(_unit(a) for a in (85.0, 89.0, 80.0)))
+    sched = _mpf_schedule(3, steps=5)
+    manip = build(spec)
+    before = {key: id(value) for key, value in vars(manip).items()}
+    for include_poses in (False, True):
+        traj = run(manip, sched, include_poses=include_poses)
+        assert {key: id(value) for key, value in vars(manip).items()} == before
+        fresh = run(build(spec), sched, include_poses=include_poses)
+        assert traj.meta == fresh.meta and len(traj.frames) == len(fresh.frames) > 1
+        for f, g in zip(traj.frames, fresh.frames):
+            assert (f.t, f.theta1s) == (g.t, g.theta1s)
+            assert f.marker.tobytes() == g.marker.tobytes()
+            if include_poses:
+                assert [p.rt.tobytes() for p in f.poses] == [
+                    p.rt.tobytes() for p in g.poses
+                ]
 
 
 def test_run_meta_contents():
