@@ -214,8 +214,6 @@ def _parse_schedule_text(text: str, n: int, gamma: float):
             phase["target"], phase["angle_deg"] = "out", float(parts[1][3:])
         if len(parts) == 3:
             phase["steps"] = int(parts[2])
-            if phase["steps"] < 1:
-                raise ValueError("phase steps must be positive")
         phases.append(phase)
     return ActivationSchedule.from_json_dict({"phases": phases}, n, gamma, "--schedule")
 

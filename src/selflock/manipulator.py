@@ -51,6 +51,9 @@ GAMMA_DEFAULT = math.radians(36.5)
 CLEARANCE_DEFAULT = 0.1
 _TRIM_MM = 2.0
 AXES_NOTE = "u12=+x,u41=+y,ground z=0"
+# A frame takes about 310 B and a rotational step about 0.2 ms (2-vCPU
+# Xeon VM), so a phase at this bound holds about 31 MB and runs about 20 s.
+MAX_PHASE_STEPS = 100_000
 Angle = float  # radians, which a spec file writes in degrees
 
 
@@ -396,6 +399,8 @@ def _phase_from_json(d, path: str, n: int, gamma: float) -> Phase:
         raise SpecError(f"{path}.unit: unit {phase.unit} outside 0..{n - 1}")
     if phase.steps < 1:
         raise SpecError(f"{path}.steps: phase steps must be at least 1")
+    if phase.steps > MAX_PHASE_STEPS:
+        raise SpecError(f"{path}.steps: phase steps must be at most {MAX_PHASE_STEPS}")
     return phase
 
 
@@ -917,6 +922,8 @@ def run(
             raise SpecError(f"schedule references unit {ph.unit}, out of range")
         if ph.steps < 1:
             raise SpecError("phase steps must be at least 1")
+        if ph.steps > MAX_PHASE_STEPS:
+            raise SpecError(f"phase steps must be at most {MAX_PHASE_STEPS}")
 
     thetas = manipulator.semi_flat_thetas()
     keep = manipulator._keep

@@ -227,9 +227,15 @@ def test_manip_bad_schedule_exit2(capsys):
     base = ["manip", "rotational", "--schedule"]
     assert main(base + ["5:mpf"]) == 2
     assert main(base + ["1:warp9"]) == 2
-    assert main(base + ["1:mpf:0"]) == 2
     assert main(base + ["1"]) == 2
     capsys.readouterr()
+    # The schedule codec refuses a step count outside 1..MAX_PHASE_STEPS,
+    # naming the phase, before any step is taken.
+    for text, i in (("1:mpf:0", 0), ("1:mpf:-3", 0), ("1:mpf:100001", 0),
+                    ("1:mpf:99999999999999999999", 0), ("2:semiflat,1:mpf:0", 1)):
+        assert main(base + [text]) == 2
+        err = capsys.readouterr().err
+        assert f"--schedule.phases[{i}].steps: phase steps must be at " in err
 
 
 def test_manip_alpha_outside_lock_range_exit3(capsys):
@@ -377,6 +383,10 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     data = chain.to_json_dict()
     data["schedule"] = {"phases": [{"unit": 0, "target": "mpf", "steps": 0}]}
     cases.append((data, "spec.schedule.phases[0].steps: phase steps must be at least 1"))
+    for steps in (100001, 1e20):
+        data = chain.to_json_dict()
+        data["schedule"] = {"phases": [{"unit": 0, "target": "mpf", "steps": steps}]}
+        cases.append((data, "spec.schedule.phases[0].steps: phase steps must be at most"))
     # A plate no longer than the 2 mm corner trim of the collision mesh.
     data = chain.to_json_dict()
     data["units"][1]["plate_m_mm"] = [25.0, 25.0, 25.0, 1.5]

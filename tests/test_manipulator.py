@@ -42,7 +42,12 @@ from selflock import (
 )
 from selflock.geometry import pad_polygons, plate_axes, plate_axis_bounds
 from selflock.linkage import mpf_theta1, semi_flat_theta1
-from selflock.manipulator import _clear_pairs, _conn_from_json, _node_rows
+from selflock.manipulator import (
+    MAX_PHASE_STEPS,
+    _clear_pairs,
+    _conn_from_json,
+    _node_rows,
+)
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -689,6 +694,29 @@ def test_run_validation():
             run(manip, _mpf_schedule(2, steps=3), collision_clearance=bad)
     with pytest.raises(SpecError):
         run(manip, ActivationSchedule((Phase(0, "bogus", 3),), Mode.SEQUENTIAL))
+
+
+def test_phase_steps_bounded_before_any_step(monkeypatch):
+    # A phase of more than MAX_PHASE_STEPS steps is refused before the run
+    # places even its start state.
+    manip = build(preset_rotational(math.radians(89), math.radians(89)))
+
+    def placed(thetas):
+        raise AssertionError("a state was placed")
+
+    monkeypatch.setattr(manip, "_placed", placed)
+    phases = (Phase(0, MPF(), 3), Phase(1, MPF(), MAX_PHASE_STEPS + 1))
+    for mode in Mode:
+        with pytest.raises(SpecError, match="^phase steps must be at most 100000$"):
+            run(manip, ActivationSchedule(phases, mode))
+    # The spec file codec takes the bound itself and names the field past it.
+    phase = {"unit": 1, "target": "mpf", "steps": MAX_PHASE_STEPS}
+    sched = ActivationSchedule.from_json_dict({"phases": [phase]}, 2, GAMMA, "s")
+    assert sched.phases[0].steps == MAX_PHASE_STEPS
+    for steps in (MAX_PHASE_STEPS + 1, 1e20):
+        phase["steps"] = steps
+        with pytest.raises(SpecError, match=r"^s\.phases\[0\]\.steps: .* at most 100000$"):
+            ActivationSchedule.from_json_dict({"phases": [phase]}, 2, GAMMA, "s")
 
 
 @pytest.mark.xfail(
