@@ -236,6 +236,8 @@ def test_manip_bad_schedule_exit2(capsys):
         assert main(base + [text]) == 2
         err = capsys.readouterr().err
         assert f"--schedule.phases[{i}].steps: phase steps must be at " in err
+    schedule = cli._parse_schedule_text("1:mpf:100000", 2, math.radians(36.5))
+    assert schedule.phases[0].steps == 100000
 
 
 def test_manip_alpha_outside_lock_range_exit3(capsys):

@@ -682,41 +682,25 @@ def test_run_empty_schedule():
     )
 
 
-def test_run_validation():
+def test_run_validation(monkeypatch):
     manip = build(preset_rotational(math.radians(89), math.radians(89)))
     with pytest.raises(SpecError):
         run(manip, ActivationSchedule((Phase(5, MPF(GAMMA), 3),), Mode.SEQUENTIAL))
     with pytest.raises(SpecError):
         run(manip, ActivationSchedule((Phase(0, MPF(GAMMA), 0),), Mode.SEQUENTIAL))
+    # A phase past MAX_PHASE_STEPS is refused before any state is placed.
+    phases = (Phase(0, MPF(GAMMA), 3), Phase(1, MPF(GAMMA), MAX_PHASE_STEPS + 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(manip, "_placed", None)
+        for mode in Mode:
+            with pytest.raises(SpecError, match="^phase steps must be at most 100000$"):
+                run(manip, ActivationSchedule(phases, mode))
     # With NaN or +inf no pair would be watched and no step checked.
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="finite and nonnegative"):
             run(manip, _mpf_schedule(2, steps=3), collision_clearance=bad)
     with pytest.raises(SpecError):
         run(manip, ActivationSchedule((Phase(0, "bogus", 3),), Mode.SEQUENTIAL))
-
-
-def test_phase_steps_bounded_before_any_step(monkeypatch):
-    # A phase of more than MAX_PHASE_STEPS steps is refused before the run
-    # places even its start state.
-    manip = build(preset_rotational(math.radians(89), math.radians(89)))
-
-    def placed(thetas):
-        raise AssertionError("a state was placed")
-
-    monkeypatch.setattr(manip, "_placed", placed)
-    phases = (Phase(0, MPF(), 3), Phase(1, MPF(), MAX_PHASE_STEPS + 1))
-    for mode in Mode:
-        with pytest.raises(SpecError, match="^phase steps must be at most 100000$"):
-            run(manip, ActivationSchedule(phases, mode))
-    # The spec file codec takes the bound itself and names the field past it.
-    phase = {"unit": 1, "target": "mpf", "steps": MAX_PHASE_STEPS}
-    sched = ActivationSchedule.from_json_dict({"phases": [phase]}, 2, GAMMA, "s")
-    assert sched.phases[0].steps == MAX_PHASE_STEPS
-    for steps in (MAX_PHASE_STEPS + 1, 1e20):
-        phase["steps"] = steps
-        with pytest.raises(SpecError, match=r"^s\.phases\[0\]\.steps: .* at most 100000$"):
-            ActivationSchedule.from_json_dict({"phases": [phase]}, 2, GAMMA, "s")
 
 
 @pytest.mark.xfail(
