@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linkage import Configuration, DomainError, joint_state, mpf_theta1, semi_flat_theta1
-from .linkage import theta3_of_theta1, theta4_of_theta1
+from .linkage import Configuration, DomainError, _grid, joint_state, mpf_theta1
+from .linkage import semi_flat_theta1, theta3_of_theta1, theta4_of_theta1
 from .moments import mechanical_advantage
 from .pouch import ActuatorConditions, central_angle, input_moment, pouch_geometry
 from .manipulator import (
@@ -104,14 +104,8 @@ def _write(out, text: str) -> None:
 
 
 def _deg_grid(min_deg: float, max_deg: float, steps: int) -> np.ndarray:
-    if steps < 2:
-        raise DomainError(f"steps = {steps} must be at least 2")
-    if not min_deg < max_deg:
-        raise DomainError("min-deg must be strictly below max-deg")
-    if min_deg <= -180.0 or max_deg >= 180.0:
-        raise DomainError("grid must stay inside (-180, 180) degrees")
     try:
-        return np.linspace(min_deg, max_deg, steps)
+        return _grid(min_deg, max_deg, steps, 180.0)
     except MemoryError as exc:
         raise DomainError(f"--steps {steps} needs more memory than is available") from exc
 
@@ -248,21 +242,15 @@ def _default_schedule(preset: str, n: int, gamma: float) -> ActivationSchedule:
     )
 
 
+def _rounded(v):
+    """v with every float, inside lists too, rounded through _r9."""
+    if isinstance(v, list):
+        return [_rounded(x) for x in v]
+    return _r9(v) if isinstance(v, float) else v
+
+
 def _trajectory_json(traj, extra_meta: dict) -> str:
-    m = traj.meta
-    meta = {
-        "gamma_deg": _r9(m["gamma_deg"]),
-        "alphas_deg": [_r9(a) for a in m["alphas_deg"]],
-        "axes": m["axes"],
-        "mode": m["mode"],
-        "clearance_mm": _r9(m["clearance_mm"]),
-        "spec_sha256": m["spec_sha256"],
-        "phase_units": list(m["phase_units"]),
-        "phase_requested_steps": list(m["phase_requested_steps"]),
-        "phase_committed_steps": list(m["phase_committed_steps"]),
-    }
-    for k, v in extra_meta.items():
-        meta[k] = _r9(v)
+    meta = {k: _rounded(v) for k, v in {**traj.meta, **extra_meta}.items()}
     frames = traj.frames
     joints = ", ".join(["%s"] * len(frames[0].theta1s))
     item = '{"t": %s, "joints_deg": [' + joints + '], "marker_mm": [%s, %s, %s]}'
@@ -363,7 +351,8 @@ def cmd_manip(args) -> int:
             print("error: choose a preset or pass --spec", file=sys.stderr)
             return 2
         try:
-            alphas = _parse_alpha_list(args.alpha_deg or _PRESET_ALPHAS[preset])
+            text = args.alpha_deg
+            alphas = _parse_alpha_list(_PRESET_ALPHAS[preset] if text is None else text)
             if preset == "rotational":
                 if len(alphas) == 1:
                     alphas = alphas * 2

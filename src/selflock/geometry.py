@@ -286,14 +286,15 @@ class UnitPoseSet:
     """World placement of the four plates of one unit at a joint state.
 
     poses are pure rotations about the shared vertex (plate 1 is identity);
-    fold_axes are the world directions of u12, u23, u34, u41; m records the
-    unit size so plate corners can be resolved.
+    fold_axes are the world directions of u12, u23, u34, u41; m and alpha
+    record the unit size and plate angle so plate corners can be resolved.
     """
 
     poses: tuple
     fold_axes: tuple
     joint_state: JointState
     m: float
+    alpha: float
 
 
 @functools.lru_cache(maxsize=128)
@@ -394,7 +395,7 @@ def unit_poses(
     sgn = config.sign
     t4, t3 = float(sgn * t4[0]), float(sgn * t3[0])
     axes = (u12, poses[1].r @ u23l, poses[2].r @ u34l, YHAT)
-    return UnitPoseSet(poses, axes, JointState(theta1, t4, t3, t4, config), m)
+    return UnitPoseSet(poses, axes, JointState(theta1, t4, t3, t4, config), m, alpha)
 
 
 def _wrap_angle(x: float) -> float:
@@ -412,8 +413,7 @@ def loop_closure_error(poses: UnitPoseSet) -> float:
     two directions nearly coincide.
     """
     st = poses.joint_state
-    u12 = poses.fold_axes[0]
-    a = math.pi / 2 - math.atan2(u12[1], u12[0])
+    a = poses.alpha
     u34l = _e(-2 * a)
     P4c = poses.poses[2].r @ rotation_about(u34l, -st.theta3)
     v = P4c @ _e(-2 * a - math.pi / 2)
@@ -434,9 +434,7 @@ def marker_position(poses: UnitPoseSet, which: tuple = (3, 2)) -> np.ndarray:
     plate, corner = which
     if not 0 <= plate <= 3:
         raise IndexError(f"plate index {plate!r} outside 0..3")
-    u12 = poses.fold_axes[0]
-    a = math.pi / 2 - math.atan2(u12[1], u12[0])
-    mesh = plate_meshes(a, poses.m)[plate]
+    mesh = plate_meshes(poses.alpha, poses.m)[plate]
     if not 0 <= corner < len(mesh.vertices):
         raise IndexError(f"corner index {corner!r} outside the plate polygon")
     return poses.poses[plate].apply(mesh.vertices[corner])

@@ -382,6 +382,21 @@ def semi_flat_theta1(alpha: float, config: Configuration) -> float:
     return 2.0 * math.asin(math.tan(0.5 * alpha) * math.sqrt(c / (2.0 - c)))
 
 
+def _grid(lo: float, hi: float, steps: int, bound: float) -> np.ndarray:
+    """The uniform, endpoint-inclusive grid of steps values from lo to hi.
+
+    The one grid rule of every table: steps >= 2 and -bound < lo < hi < bound.
+    """
+    if steps < 2:
+        raise DomainError(f"steps = {steps!r} must be at least 2")
+    if not lo < hi:
+        raise DomainError(f"grid start {lo!r} must be strictly below its end {hi!r}")
+    for v in (lo, hi):
+        if not -bound < v < bound:
+            raise DomainError(f"grid bound {v!r} outside (-{bound:g}, {bound:g})")
+    return np.linspace(lo, hi, steps)
+
+
 def sweep(
     alpha: float,
     config: Configuration,
@@ -394,14 +409,7 @@ def sweep(
     steps is the number of rows (at least 2); theta1_min < theta1_max and
     both must lie in (-pi, pi).
     """
-    if steps < 2:
-        raise DomainError(f"steps = {steps!r}, need at least 2")
-    if not theta1_min < theta1_max:
-        raise DomainError("theta1_min must be strictly below theta1_max")
-    for v in (theta1_min, theta1_max):
-        if not -math.pi < v < math.pi:
-            raise DomainError(f"theta1 bound {v!r} outside (-pi, pi)")
-    grid = np.linspace(theta1_min, theta1_max, steps)
+    grid = _grid(theta1_min, theta1_max, steps, math.pi)
     t4 = theta4_of_theta1(alpha, grid, config)
     t3 = theta3_of_theta1(alpha, grid, config)
     rows = np.column_stack((grid, t4, t3, t4)).tolist()

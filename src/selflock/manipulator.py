@@ -52,7 +52,8 @@ CLEARANCE_DEFAULT = 0.1
 _TRIM_MM = 2.0
 AXES_NOTE = "u12=+x,u41=+y,ground z=0"
 # A frame takes about 310 B and a rotational step about 0.2 ms (2-vCPU
-# Xeon VM), so a phase at this bound holds about 31 MB and runs about 20 s.
+# Xeon VM), so a run at this bound holds about 31 MB and runs about 20 s.
+# It bounds each phase's steps and their sum over the schedule.
 MAX_PHASE_STEPS = 100_000
 Angle = float  # radians, which a spec file writes in degrees
 
@@ -254,6 +255,10 @@ class ActivationSchedule:
         phases = _array(d["phases"], f"{path}.phases", phase)
         if not phases:
             raise SpecError(f"{path}.phases: schedule has no phases")
+        if sum(ph.steps for ph in phases) > MAX_PHASE_STEPS:
+            raise SpecError(
+                f"{path}.phases: schedule steps must total at most {MAX_PHASE_STEPS}"
+            )
         return _from_json(cls, d, path, phases=phases)
 
 
@@ -924,6 +929,8 @@ def run(
             raise SpecError("phase steps must be at least 1")
         if ph.steps > MAX_PHASE_STEPS:
             raise SpecError(f"phase steps must be at most {MAX_PHASE_STEPS}")
+    if sum(ph.steps for ph in schedule.phases) > MAX_PHASE_STEPS:
+        raise SpecError(f"schedule steps must total at most {MAX_PHASE_STEPS}")
 
     thetas = manipulator.semi_flat_thetas()
     keep = manipulator._keep
@@ -988,12 +995,12 @@ def run(
         ph.target.gamma for ph in schedule.phases if isinstance(ph.target, MPF)
     ]
     meta = {
-        "axes": AXES_NOTE,
-        "alphas_deg": [math.degrees(u.alpha) for u in units],
         "gamma_deg": math.degrees(gammas[0] if gammas else GAMMA_DEFAULT),
-        "spec_sha256": spec_sha256(manipulator.spec),
+        "alphas_deg": [math.degrees(u.alpha) for u in units],
+        "axes": AXES_NOTE,
         "mode": schedule.mode.value,
-        "clearance_mm": collision_clearance,
+        "clearance_mm": float(collision_clearance),
+        "spec_sha256": spec_sha256(manipulator.spec),
         "phase_units": [ph.unit for ph in schedule.phases],
         "phase_requested_steps": requested,
         "phase_committed_steps": committed,

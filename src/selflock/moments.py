@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import Configuration, DomainError, SingularityError, _float_or_array
+from .linkage import Configuration, SingularityError, _float_or_array, _grid
 from .linkage import theta3_of_theta1, theta4_of_theta1
 from .pouch import ActuatorConditions, PouchGeometry, central_angle, input_moment
 
@@ -78,11 +78,7 @@ def moment_curve(
     Every row satisfies M_output == MA * M_input exactly, since the output
     column is formed from the other two.
     """
-    if steps < 2:
-        raise DomainError(f"steps = {steps!r}, need at least 2")
-    if not theta1_min < theta1_max:
-        raise DomainError("theta1_min must be strictly below theta1_max")
-    grid = np.linspace(theta1_min, theta1_max, steps)
+    grid = _grid(theta1_min, theta1_max, steps, math.pi)
     S = central_angle(grid)
     mi = input_moment(geom, cond, grid)
     ma = mechanical_advantage(alpha, grid, config)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import DomainError, _float_or_array
+from .linkage import CentralAngles, DomainError, _float_or_array
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,7 @@ def pouch_geometry(m: float, alpha: float) -> PouchGeometry:
     """
     if not 0.0 < m < math.inf:
         raise DomainError(f"m = {m!r} must be finite and positive")
-    if not math.pi / 4 < alpha < math.pi / 2:
-        raise DomainError(
-            f"pouch construction needs alpha in (45, 90) degrees, got "
-            f"{math.degrees(alpha):.4g}"
-        )
+    CentralAngles.self_lock(alpha)
     L1 = m / math.tan(alpha)
     Lp = (m - L1) / math.sin(alpha)
     n = (m - L1) / math.tan(alpha)

@@ -66,13 +66,19 @@ def test_sweep_out_file(tmp_path, capsys):
 
 
 def test_sweep_grid_validation_exit3(capsys):
-    base = ["sweep", "--alpha-deg", "89", "--min-deg", "-10", "--max-deg", "10"]
-    assert main(base + ["--steps", "1"]) == 3
-    assert main(["sweep", "--alpha-deg", "89", "--min-deg", "10",
-                 "--max-deg", "10", "--steps", "5"]) == 3
-    assert main(["sweep", "--alpha-deg", "89", "--min-deg", "-200",
-                 "--max-deg", "10", "--steps", "5"]) == 3
-    capsys.readouterr()
+    # sweep and moment share one grid rule and its messages.
+    cases = (
+        ("-10", "10", "1", "steps = 1 must be at least 2"),
+        ("10", "10", "5", "grid start 10.0 must be strictly below its end 10.0"),
+        ("-200", "10", "5", "grid bound -200.0 outside (-180, 180)"),
+        ("-180", "10", "5", "grid bound -180.0 outside (-180, 180)"),
+        ("-10", "180", "5", "grid bound 180.0 outside (-180, 180)"),
+    )
+    for command in ("sweep", "moment"):
+        for lo, hi, steps, message in cases:
+            assert main([command, "--alpha-deg", "89", "--min-deg", lo,
+                         "--max-deg", hi, "--steps", steps]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_bad_flags_exit2(capsys):
@@ -216,6 +222,10 @@ def test_manip_alpha_list(capsys):
     assert main(["manip", "rotational", "--alpha-deg", "85,86,87"]) == 2
     assert main(["manip", "translational", "--alpha-deg", "85,86"]) == 2
     capsys.readouterr()
+    # An empty list is refused, not read as the preset's default alphas.
+    for text in ("", " , "):
+        assert main(["manip", "rotational", "--alpha-deg", text]) == 2
+        assert capsys.readouterr().err == "error: empty --alpha-deg list\n"
 
 
 def test_manip_requires_preset_or_spec(capsys):
@@ -238,6 +248,12 @@ def test_manip_bad_schedule_exit2(capsys):
         assert f"--schedule.phases[{i}].steps: phase steps must be at " in err
     schedule = cli._parse_schedule_text("1:mpf:100000", 2, math.radians(36.5))
     assert schedule.phases[0].steps == 100000
+    # The phases' steps may not sum past MAX_PHASE_STEPS either.
+    assert main(base + ["1:mpf:60000,2:mpf:60000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --schedule.phases: schedule steps must total at most 100000\n"
+    schedule = cli._parse_schedule_text("1:mpf:50000,2:mpf:50000", 2, math.radians(36.5))
+    assert [ph.steps for ph in schedule.phases] == [50000, 50000]
 
 
 def test_manip_alpha_outside_lock_range_exit3(capsys):
@@ -389,6 +405,10 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
         data = chain.to_json_dict()
         data["schedule"] = {"phases": [{"unit": 0, "target": "mpf", "steps": steps}]}
         cases.append((data, "spec.schedule.phases[0].steps: phase steps must be at most"))
+    data = chain.to_json_dict()
+    data["schedule"] = {"phases": [{"unit": 0, "target": "mpf", "steps": 60000},
+                                   {"unit": 1, "target": "mpf", "steps": 60000}]}
+    cases.append((data, "spec.schedule.phases: schedule steps must total at most 100000"))
     # A plate no longer than the 2 mm corner trim of the collision mesh.
     data = chain.to_json_dict()
     data["units"][1]["plate_m_mm"] = [25.0, 25.0, 25.0, 1.5]

@@ -338,6 +338,17 @@ def test_marker_position_frozen():
         marker_position(ps, (0, 9))
 
 
+def test_marker_position_exact_at_pose_set_alpha():
+    # The corner comes from the plate mesh at the pose set's own alpha. At
+    # this alpha pi/2 - atan2(u12) is 1 ulp off, which would move the
+    # corner by 3.6e-15 mm.
+    alpha = math.radians(55.604)
+    ps = unit_poses(alpha, math.radians(40), UP)
+    assert ps.alpha == alpha
+    want = ps.poses[0].apply(plate_meshes(alpha, ps.m)[0].vertices[1])
+    assert marker_position(ps, (0, 1)).tobytes() == want.tobytes()
+
+
 def test_mpf_marker_independent_of_alpha():
     # At the MPF state |theta4| = gamma for every alpha, so the output
     # plate pose and its marker corner are alpha independent.

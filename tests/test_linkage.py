@@ -1,6 +1,7 @@
 """Closed-form kinematics against frozen values and the numerical oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -464,9 +465,13 @@ def test_sweep_table():
 
 def test_sweep_validation():
     alpha = math.radians(85)
-    with pytest.raises(DomainError):
-        sweep(alpha, UP, 0.0, 1.0, 1)
-    with pytest.raises(DomainError):
-        sweep(alpha, UP, 1.0, 1.0, 5)
-    with pytest.raises(DomainError):
-        sweep(alpha, UP, -4.0, 1.0, 5)
+    # The grid rule that moment_curve and the CLI tables share.
+    for lo, hi, steps, message in (
+        (0.0, 1.0, 1, "steps = 1 must be at least 2"),
+        (1.0, 1.0, 5, "grid start 1.0 must be strictly below its end 1.0"),
+        (-4.0, 1.0, 5, "grid bound -4.0 outside (-3.14159, 3.14159)"),
+        (-math.pi, 1.0, 5, f"grid bound {-math.pi!r} outside (-3.14159, 3.14159)"),
+        (-1.0, math.pi, 5, f"grid bound {math.pi!r} outside (-3.14159, 3.14159)"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sweep(alpha, UP, lo, hi, steps)

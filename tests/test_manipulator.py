@@ -688,13 +688,17 @@ def test_run_validation(monkeypatch):
         run(manip, ActivationSchedule((Phase(5, MPF(GAMMA), 3),), Mode.SEQUENTIAL))
     with pytest.raises(SpecError):
         run(manip, ActivationSchedule((Phase(0, MPF(GAMMA), 0),), Mode.SEQUENTIAL))
-    # A phase past MAX_PHASE_STEPS is refused before any state is placed.
+    # A phase past MAX_PHASE_STEPS, or phases whose steps sum past it, are
+    # refused before any state is placed.
     phases = (Phase(0, MPF(GAMMA), 3), Phase(1, MPF(GAMMA), MAX_PHASE_STEPS + 1))
+    total = (Phase(0, MPF(GAMMA), 60_000), Phase(1, MPF(GAMMA), 60_000))
     with monkeypatch.context() as patch:
         patch.setattr(manip, "_placed", None)
         for mode in Mode:
             with pytest.raises(SpecError, match="^phase steps must be at most 100000$"):
                 run(manip, ActivationSchedule(phases, mode))
+            with pytest.raises(SpecError, match="^schedule steps must total at most 100000$"):
+                run(manip, ActivationSchedule(total, mode))
     # With NaN or +inf no pair would be watched and no step checked.
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="finite and nonnegative"):

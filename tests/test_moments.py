@@ -1,6 +1,7 @@
 """Mechanical advantage and output moment transmission."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,10 +89,16 @@ def test_moment_curve_validation():
     alpha = math.radians(85)
     g = pouch_geometry(25.0, alpha)
     c = ActuatorConditions(10000.0)
-    with pytest.raises(DomainError):
-        moment_curve(alpha, UP, g, c, 0.0, 1.0, 1)
-    with pytest.raises(DomainError):
-        moment_curve(alpha, UP, g, c, 1.0, 0.0, 5)
+    # The grid rule that sweep and the CLI tables share.
+    for lo, hi, steps, message in (
+        (0.0, 1.0, 1, "steps = 1 must be at least 2"),
+        (1.0, 0.0, 5, "grid start 1.0 must be strictly below its end 0.0"),
+        (1.0, 1.0, 5, "grid start 1.0 must be strictly below its end 1.0"),
+        (-math.pi, 1.0, 5, f"grid bound {-math.pi!r} outside (-3.14159, 3.14159)"),
+        (-1.0, math.pi, 5, f"grid bound {math.pi!r} outside (-3.14159, 3.14159)"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            moment_curve(alpha, UP, g, c, lo, hi, steps)
 
 
 # The five closed forms that take a float or an ndarray theta1, each as a
