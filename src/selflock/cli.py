@@ -23,6 +23,9 @@ from .linkage import semi_flat_theta1, theta3_of_theta1, theta4_of_theta1
 from .moments import mechanical_advantage
 from .pouch import ActuatorConditions, central_angle, input_moment, pouch_geometry
 from .manipulator import (
+    CLEARANCE_DEFAULT,
+    GAMMA_DEFAULT,
+    M_DEFAULT,
     ActivationSchedule,
     ManipulatorSpec,
     Mode,
@@ -220,11 +223,6 @@ _PRESET_ALPHAS = {
 
 
 def _default_schedule(preset: str, n: int, gamma: float) -> ActivationSchedule:
-    if preset == "rotational":
-        return ActivationSchedule(
-            (Phase(0, MPF(gamma)), Phase(1, MPF(gamma))),
-            Mode.SEQUENTIAL,
-        )
     if preset == "translational":
         half = math.pi / 2
         return ActivationSchedule(
@@ -434,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--max-deg", type=float, default=90.0)
     mo.add_argument("--steps", type=int, default=181)
     mo.add_argument("--pressure-pa", type=float, default=10000.0)
-    mo.add_argument("--m-mm", type=float, default=25.0)
+    mo.add_argument("--m-mm", type=float, default=M_DEFAULT)
     mo.add_argument("--out", help="output path (stdout when omitted)")
     mo.add_argument("--format", choices=["csv", "json"], default="csv")
     mo.set_defaults(func=cmd_moment)
@@ -444,14 +442,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "preset", nargs="?", choices=["rotational", "translational", "modular"]
     )
     ma.add_argument("--alpha-deg", help="comma separated list, one per unit")
-    ma.add_argument("--gamma-deg", type=float, default=36.5)
+    ma.add_argument("--gamma-deg", type=float, default=math.degrees(GAMMA_DEFAULT))
     ma.add_argument("--d-mm", type=float, default=25.0)
     ma.add_argument("--spec", help="manipulator spec JSON path (replaces preset)")
     ma.add_argument(
         "--schedule", help='inline schedule "1:mpf,2:out90[:steps]", units 1-based'
     )
     ma.add_argument("--mode", choices=["sequential", "simultaneous"])
-    ma.add_argument("--clearance-mm", type=float, default=0.1)
+    ma.add_argument("--clearance-mm", type=float, default=CLEARANCE_DEFAULT)
     ma.add_argument("--plane", default="xz", help="SVG projections, e.g. xz,xy")
     ma.add_argument("--out", help="output path (stdout when omitted)")
     ma.add_argument("--format", choices=["csv", "json", "svg"], default="json")
@@ -460,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("states", help="print semi-flat and MPF joint states")
     st.add_argument("--alpha-deg", type=float, required=True)
     st.add_argument("--config", choices=["up", "down"], default="up")
-    st.add_argument("--gamma-deg", type=float, default=36.5)
+    st.add_argument("--gamma-deg", type=float, default=math.degrees(GAMMA_DEFAULT))
     st.set_defaults(func=cmd_states)
 
     return parser

@@ -680,6 +680,11 @@ def _flush(length: float) -> Pose:
     return Pose(np.eye(3), np.array([-length, 0.0, 0.0]))
 
 
+def _weld(parent: int, child: int, length: float) -> Weld:
+    """The presets' joint: child's input plate flush on parent's output plate."""
+    return Weld(parent, 3, child, 0, _flush(length))
+
+
 def preset_rotational(alpha1: float, alpha2: float) -> ManipulatorSpec:
     """Two Down units welded output plate to input plate, marker on the tip.
 
@@ -693,13 +698,7 @@ def preset_rotational(alpha1: float, alpha2: float) -> ManipulatorSpec:
     )
     connections = (
         Base(unit=0, plate=0),
-        Weld(
-            parent=0,
-            parent_plate=3,
-            child=1,
-            child_plate=0,
-            rel=_flush(M_DEFAULT),
-        ),
+        _weld(0, 1, M_DEFAULT),
     )
     return ManipulatorSpec(units, connections, (1, 3, 2))
 
@@ -731,19 +730,8 @@ def preset_translational(alpha: float, gamma: float, d: float) -> ManipulatorSpe
         UnitSpec(alpha, down, m, (q, fan, fan, f)),
         UnitSpec(alpha, up, m, (f, fan, fan, m)),
     )
-    links = (f, q, f)
-    connections = [Base(unit=0, plate=0)]
-    for k, length in enumerate(links):
-        connections.append(
-            Weld(
-                parent=k,
-                parent_plate=3,
-                child=k + 1,
-                child_plate=0,
-                rel=_flush(length),
-            )
-        )
-    return ManipulatorSpec(units, tuple(connections), (3, 3, 2))
+    welds = (_weld(k, k + 1, length) for k, length in enumerate((f, q, f)))
+    return ManipulatorSpec(units, (Base(unit=0, plate=0), *welds), (3, 3, 2))
 
 
 def translational_link_lengths(gamma: float, d: float) -> tuple:
@@ -794,7 +782,7 @@ def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> Manipulator
     for k in range(n - 1, 0, -1):
         parent, child = k, k - 1
         p4 = units[parent].plate_sizes[3]
-        if k == ndist and ndist < n:
+        if k == ndist:
             lc = units[child].plate_sizes[0]
             connections.append(
                 BoundingPlate(
@@ -811,15 +799,7 @@ def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> Manipulator
                 )
             )
         else:
-            connections.append(
-                Weld(
-                    parent=parent,
-                    parent_plate=3,
-                    child=child,
-                    child_plate=0,
-                    rel=_flush(p4),
-                )
-            )
+            connections.append(_weld(parent, child, p4))
     return ManipulatorSpec(units, tuple(connections), (0, 3, 2))
 
 
