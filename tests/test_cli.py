@@ -256,6 +256,16 @@ def test_manip_bad_schedule_exit2(capsys):
     assert [ph.steps for ph in schedule.phases] == [50000, 50000]
 
 
+def test_manip_zero_clearance_commits_as_default_clearance(capsys):
+    # Plates welded edge to edge touch at the start; at clearance 0 they
+    # are structural, as at 0.1 mm, instead of blocking on rounding.
+    for preset, committed in (("rotational", [60, 60]), ("modular", [60, 60, 60, 42])):
+        for clearance in ("0", "0.1"):
+            assert main(["manip", preset, "--clearance-mm", clearance]) == 0
+            meta = json.loads(capsys.readouterr().out)["meta"]
+            assert meta["phase_committed_steps"] == committed
+
+
 def test_manip_alpha_outside_lock_range_exit3(capsys):
     assert main(["manip", "rotational", "--alpha-deg", "95"]) == 3
     capsys.readouterr()

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selflock import (
@@ -48,6 +48,7 @@ from selflock.manipulator import (
     _conn_from_json,
     _node_rows,
 )
+from test_corpus import _chain
 
 UP = Configuration.UP
 DOWN = Configuration.DOWN
@@ -544,6 +545,66 @@ def test_modular_committed_steps_pinned():
         traj = run(manip, _mpf_schedule(n, steps))
         assert traj.meta["phase_committed_steps"] == committed
         assert len(traj.frames) == 1 + sum(committed)
+
+
+def _moved(spec, k: int, shift):
+    """spec with its base pose and slab center turned k quarter turns about z,
+    then shifted by shift, and that motion as a Pose.
+
+    The quarter turn is exact, so the slab stays an axis-aligned square.
+    """
+    c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+    motion = Pose([[c, -s, 0], [s, c, 0], [0, 0, 1]], shift)
+    connections = tuple(
+        dataclasses.replace(
+            conn,
+            pose=motion.compose(conn.pose),
+            slab_center=tuple(motion.apply(conn.slab_center)),
+        )
+        if isinstance(conn, Base)
+        else conn
+        for conn in spec.connections
+    )
+    return ManipulatorSpec(spec.units, connections, spec.marker), motion
+
+
+# Chains from 24 on: the corpus pins seeds 0-23 at clearances 0.1, 1 and 3 mm.
+_FRESH_SEEDS = st.integers(24, 10_000)
+
+
+@settings(max_examples=15, deadline=None)
+@example(seed=24)
+@given(seed=_FRESH_SEEDS)
+def test_zero_clearance_commits_as_vanishing_clearance(seed):
+    # Plates that touch by construction start a rounding error away from
+    # contact, either side of 0; they are structural at clearance 0 too.
+    spec, schedule = _chain(seed)
+    manip = build(spec)
+    at_zero = run(manip, schedule, 0.0).meta["phase_committed_steps"]
+    assert at_zero == run(manip, schedule, 1e-9).meta["phase_committed_steps"]
+
+
+@settings(max_examples=10, deadline=None)
+@example(seed=24, k=1, shift=(10.0, -7.0, 3.0))
+@given(
+    seed=_FRESH_SEEDS,
+    k=st.integers(0, 3),
+    shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+)
+def test_committed_steps_invariant_under_base_motion(seed, k, shift):
+    spec, schedule = _chain(seed)
+    spec_moved, motion = _moved(spec, k, shift)
+    manip, manip_moved = build(spec), build(spec_moved)
+    for clearance in (0.0, 0.1, 1.0):
+        traj = run(manip, schedule, clearance)
+        moved = run(manip_moved, schedule, clearance)
+        assert (
+            moved.meta["phase_committed_steps"]
+            == traj.meta["phase_committed_steps"]
+        )
+        expect = motion.apply(np.array([f.marker for f in traj.frames]))
+        got = np.array([f.marker for f in moved.frames])
+        assert np.abs(got - expect).max() <= 1e-9
 
 
 @st.composite
