@@ -840,6 +840,11 @@ def pair_margins(world: dict, pairs) -> np.ndarray:
     return polygon_margins_batch(P[I], P[J])
 
 
+def _rounding_slack(P: np.ndarray) -> float:
+    """Margins closer than this differ by rounding only, at polygons P's scale."""
+    return 1e-12 * (1.0 + float(np.abs(P).max()))
+
+
 def _clear_pairs(
     P: np.ndarray,
     axes: np.ndarray,
@@ -865,8 +870,7 @@ def _clear_pairs(
     """
     if not len(I):
         return np.ones(0, dtype=bool)
-    slack = 1e-12 * (1.0 + float(np.abs(P).max()))
-    clear = plate_axis_bounds(P, axes, keep, I, J) > clearance + slack
+    clear = plate_axis_bounds(P, axes, keep, I, J) > clearance + _rounding_slack(P)
     near = ~clear
     if near.any():
         clear[near] = polygon_margins_batch(P[I[near]], P[J[near]]) > clearance
@@ -890,9 +894,10 @@ def run(
     substeps, its frames at t in (0, 1], so a blocked substep halts the run.
 
     Watched pairs are the non-adjacent plate pairs of the assembly; pairs
-    already within the clearance at the initial state are structural (for
-    example the fold neighbours of a welded plate pair) and stay exempt
-    for the run. An empty schedule yields the single initial frame.
+    already within the clearance at the initial state, up to rounding, are
+    structural (for example the fold neighbours of a welded plate pair)
+    and stay exempt for the run. An empty schedule yields the single
+    initial frame.
     """
     # A NaN or infinite clearance would leave no pair watched, so no step
     # would ever be checked; the comparison below also rejects NaN.
@@ -916,7 +921,10 @@ def run(
     keep = manipulator._keep
     plate_rt, poses, world, axes = manipulator._placed(thetas)
     I, J = manipulator._pair_rows
-    watched = _clear_pairs(world, axes, keep, I, J, collision_clearance)
+    # A pair that touches by construction starts a rounding error from
+    # contact, on either side; it is structural at clearance 0 too.
+    structural = collision_clearance + _rounding_slack(world)
+    watched = _clear_pairs(world, axes, keep, I, J, structural)
     wi, wj = I[watched], J[watched]
 
     def placed_if_clear(cand):
