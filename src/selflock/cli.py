@@ -203,14 +203,17 @@ def _parse_schedule_text(text: str, n: int, gamma: float):
         parts = [p.strip() for p in item.split(":")]
         if len(parts) not in (2, 3):
             raise ValueError(f"bad phase {item!r}; expected unit:target[:steps]")
-        unit = int(parts[0]) - 1
+        try:
+            unit = int(parts[0]) - 1
+            phase = {"unit": unit, "target": parts[1].lower()}
+            if phase["target"].startswith("out"):
+                phase["target"], phase["angle_deg"] = "out", float(parts[1][3:])
+            if len(parts) == 3:
+                phase["steps"] = int(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"bad phase {item!r}; {exc}") from exc
         if not 0 <= unit < n:
             raise ValueError(f"phase unit {parts[0]} outside 1..{n}")
-        phase = {"unit": unit, "target": parts[1].lower()}
-        if phase["target"].startswith("out"):
-            phase["target"], phase["angle_deg"] = "out", float(parts[1][3:])
-        if len(parts) == 3:
-            phase["steps"] = int(parts[2])
         phases.append(phase)
     return ActivationSchedule.from_json_dict({"phases": phases}, n, gamma, "--schedule")
 
@@ -382,7 +385,7 @@ def cmd_manip(args) -> int:
     if schedule is None:
         schedule = _default_schedule(preset or "", manip.dof, gamma)
     phases = schedule.phases
-    if args.schedule:
+    if args.schedule is not None:
         try:
             phases = _parse_schedule_text(args.schedule, manip.dof, gamma).phases
         except ValueError as exc:

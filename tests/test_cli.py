@@ -239,6 +239,12 @@ def test_manip_bad_schedule_exit2(capsys):
     assert main(base + ["1:warp9"]) == 2
     assert main(base + ["1"]) == 2
     capsys.readouterr()
+    # An empty schedule is a bad phase, not the default schedule, and a
+    # unit or angle that is not a number names its phase.
+    for text in ("", " ", "1:out", "x:mpf"):
+        assert main(base + [text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad phase {text!r}; ")
     # The schedule codec refuses a step count outside 1..MAX_PHASE_STEPS,
     # naming the phase, before any step is taken.
     for text, i in (("1:mpf:0", 0), ("1:mpf:-3", 0), ("1:mpf:100001", 0),
@@ -297,6 +303,21 @@ def test_manip_spec_file_with_embedded_schedule(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["meta"]["phase_units"] == [0]
+
+
+def test_manip_spec_without_schedule_runs_default(tmp_path, capsys):
+    # A spec file with no schedule runs the generic default: MPF on each
+    # unit in turn, which for the rotational preset is its own default.
+    from selflock import preset_rotational
+
+    path = tmp_path / "rotational.json"
+    spec = preset_rotational(math.radians(89), math.radians(89))
+    path.write_text(json.dumps(spec.to_json_dict()))
+    outputs = []
+    for source in (["rotational"], ["--spec", str(path)]):
+        assert main(["manip", *source]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_manip_spec_with_skewed_rotations_runs(tmp_path, capsys):
