@@ -251,15 +251,36 @@ class ActivationSchedule:
     def from_json_dict(cls, data, n: int, gamma: float, path: str):
         """The schedule at path in an n-unit spec file; MPF gamma defaults to gamma."""
         d = _object(data, path, ("mode", "phases"), ("phases",))
-        phase = partial(_phase_from_json, n=n, gamma=gamma)
+        phase = partial(_phase_from_json, gamma=gamma)
         phases = _array(d["phases"], f"{path}.phases", phase)
         if not phases:
             raise SpecError(f"{path}.phases: schedule has no phases")
-        if sum(ph.steps for ph in phases) > MAX_PHASE_STEPS:
-            raise SpecError(
-                f"{path}.phases: schedule steps must total at most {MAX_PHASE_STEPS}"
-            )
-        return _from_json(cls, d, path, phases=phases)
+        schedule = _from_json(cls, d, path, phases=phases)
+        fault = _schedule_fault(schedule, n)
+        if fault:
+            raise SpecError(f"{path}.{fault[0]}: {fault[1]}")
+        return schedule
+
+
+def _schedule_fault(schedule: ActivationSchedule, n: int):
+    """(where, why) for the first rule schedule breaks on n units, else None.
+
+    where is the field's path below the schedule, such as "phases[1].steps".
+    run() and the schedule codec both check a schedule here, so each rule
+    and its message are stated once.
+    """
+    for i, ph in enumerate(schedule.phases):
+        if not 0 <= ph.unit < n:
+            return f"phases[{i}].unit", f"unit {ph.unit} outside 0..{n - 1}"
+        if not isinstance(ph.target, (MPF, SemiFlat, OutputAngle)):
+            return f"phases[{i}].target", f"unknown phase target {ph.target!r}"
+        if ph.steps < 1:
+            return f"phases[{i}].steps", "phase steps must be at least 1"
+        if ph.steps > MAX_PHASE_STEPS:
+            return f"phases[{i}].steps", f"phase steps must be at most {MAX_PHASE_STEPS}"
+    if sum(ph.steps for ph in schedule.phases) > MAX_PHASE_STEPS:
+        return "phases", f"schedule steps must total at most {MAX_PHASE_STEPS}"
+    return None
 
 
 def _target_theta1(target, unit: UnitSpec) -> float:
@@ -268,9 +289,7 @@ def _target_theta1(target, unit: UnitSpec) -> float:
         return mpf_theta1(alpha, target.gamma, config)
     if isinstance(target, SemiFlat):
         return semi_flat_theta1(alpha, config)
-    if isinstance(target, OutputAngle):
-        return theta1_of_theta4(alpha, config.sign * target.angle, config)
-    raise SpecError(f"unknown phase target {target!r}")
+    return theta1_of_theta4(alpha, config.sign * target.angle, config)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +414,11 @@ def _conn_to_json(c) -> dict:
     raise SpecError(f"unknown connection type {type(c).__name__}")
 
 
-def _phase_from_json(d, path: str, n: int, gamma: float) -> Phase:
+def _phase_from_json(d, path: str, gamma: float) -> Phase:
     """A phase: unit, target kind and that target's fields, and steps."""
     target = _kinded(_TARGETS, "target", d, path, "unit", "steps", gamma=gamma)
     keys = _to_json(target)
-    phase = _from_json(Phase, d, path, *keys, target=target)
-    if not 0 <= phase.unit < n:
-        raise SpecError(f"{path}.unit: unit {phase.unit} outside 0..{n - 1}")
-    if phase.steps < 1:
-        raise SpecError(f"{path}.steps: phase steps must be at least 1")
-    if phase.steps > MAX_PHASE_STEPS:
-        raise SpecError(f"{path}.steps: phase steps must be at most {MAX_PHASE_STEPS}")
-    return phase
+    return _from_json(Phase, d, path, *keys, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -907,15 +919,9 @@ def run(
             "and nonnegative"
         )
     units = manipulator.units
-    for ph in schedule.phases:
-        if not 0 <= ph.unit < len(units):
-            raise SpecError(f"schedule references unit {ph.unit}, out of range")
-        if ph.steps < 1:
-            raise SpecError("phase steps must be at least 1")
-        if ph.steps > MAX_PHASE_STEPS:
-            raise SpecError(f"phase steps must be at most {MAX_PHASE_STEPS}")
-    if sum(ph.steps for ph in schedule.phases) > MAX_PHASE_STEPS:
-        raise SpecError(f"schedule steps must total at most {MAX_PHASE_STEPS}")
+    fault = _schedule_fault(schedule, len(units))
+    if fault:
+        raise SpecError(fault[1])
 
     thetas = manipulator.semi_flat_thetas()
     keep = manipulator._keep
