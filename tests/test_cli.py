@@ -260,6 +260,14 @@ def test_manip_bad_schedule_exit2(capsys):
     assert err == "error: --schedule.phases: schedule steps must total at most 100000\n"
     schedule = cli._parse_schedule_text("1:mpf:50000,2:mpf:50000", 2, math.radians(36.5))
     assert [ph.steps for ph in schedule.phases] == [50000, 50000]
+    # A simultaneous schedule drives each unit toward one target, so it may
+    # not name a unit twice; a sequential one may.
+    text = "1:mpf:5,1:semiflat:5"
+    assert main(base + [text, "--mode", "simultaneous"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --schedule.phases[1].unit: ")
+    assert main(base + [text]) == 0
+    capsys.readouterr()
 
 
 def test_manip_zero_clearance_commits_as_default_clearance(capsys):
@@ -303,6 +311,15 @@ def test_manip_spec_file_with_embedded_schedule(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["meta"]["phase_units"] == [0]
+    # A sequential schedule may name a unit twice; --mode simultaneous over
+    # it is a flag error, not a spec file error.
+    data["schedule"] = {"phases": [{"unit": 0, "target": "mpf", "steps": 2},
+                                   {"unit": 0, "target": "semiflat", "steps": 2}]}
+    path.write_text(json.dumps(data))
+    assert main(["manip", "--spec", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["manip", "--spec", str(path), "--mode", "simultaneous"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_manip_spec_without_schedule_runs_default(tmp_path, capsys):
@@ -440,6 +457,11 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     data["schedule"] = {"phases": [{"unit": 0, "target": "mpf", "steps": 60000},
                                    {"unit": 1, "target": "mpf", "steps": 60000}]}
     cases.append((data, "spec.schedule.phases: schedule steps must total at most 100000"))
+    data = chain.to_json_dict()
+    data["schedule"] = {"mode": "simultaneous",
+                        "phases": [{"unit": 1, "target": "mpf", "steps": 2},
+                                   {"unit": 1, "target": "semiflat", "steps": 2}]}
+    cases.append((data, "spec.schedule.phases[1].unit: "))
     # A plate no longer than the 2 mm corner trim of the collision mesh.
     data = chain.to_json_dict()
     data["units"][1]["plate_m_mm"] = [25.0, 25.0, 25.0, 1.5]
