@@ -192,11 +192,12 @@ def _parse_alpha_list(text: str):
     return vals
 
 
-def _parse_schedule_text(text: str, n: int, gamma: float):
+def _parse_schedule_text(text: str, n: int, gamma: float, mode=Mode.SEQUENTIAL):
     """Inline schedule: comma-joined unit:target[:steps], units 1-based.
 
     Targets are mpf, semiflat, or out<degrees> (e.g. out90). Each item is
-    read as the spec file phase it spells.
+    read as the spec file phase it spells, and the phases are checked as a
+    schedule in mode.
     """
     phases = []
     for item in text.split(","):
@@ -215,7 +216,8 @@ def _parse_schedule_text(text: str, n: int, gamma: float):
         if not 0 <= unit < n:
             raise ValueError(f"phase unit {parts[0]} outside 1..{n}")
         phases.append(phase)
-    return ActivationSchedule.from_json_dict({"phases": phases}, n, gamma, "--schedule")
+    data = {"mode": mode.value, "phases": phases}
+    return ActivationSchedule.from_json_dict(data, n, gamma, "--schedule")
 
 
 _PRESET_ALPHAS = {
@@ -381,20 +383,26 @@ def cmd_manip(args) -> int:
         manip = build(spec)
 
     # The embedded schedule, else the preset default. An inline --schedule
-    # keeps its mode; --mode overrides it.
+    # keeps its mode; --mode overrides it. The mode is settled first, so
+    # that --schedule is checked in the mode that runs.
     if schedule is None:
         schedule = _default_schedule(preset or "", manip.dof, gamma)
-    phases = schedule.phases
+    mode = Mode(args.mode) if args.mode else schedule.mode
     if args.schedule is not None:
         try:
-            phases = _parse_schedule_text(args.schedule, manip.dof, gamma).phases
+            schedule = _parse_schedule_text(args.schedule, manip.dof, gamma, mode)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    mode = Mode(args.mode) if args.mode else schedule.mode
-    schedule = ActivationSchedule(phases, mode)
+    schedule = ActivationSchedule(schedule.phases, mode)
 
-    traj = run(manip, schedule, collision_clearance=args.clearance_mm)
+    try:
+        traj = run(manip, schedule, collision_clearance=args.clearance_mm)
+    except SpecError as exc:
+        # The spec file's schedule was checked in its own mode; only --mode
+        # can make it break a rule of the mode that runs.
+        print(f"error: --mode {mode.value}: {exc}", file=sys.stderr)
+        return 2
 
     if args.format == "json":
         text = _trajectory_json(traj, extra_meta)

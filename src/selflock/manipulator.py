@@ -269,9 +269,16 @@ def _schedule_fault(schedule: ActivationSchedule, n: int):
     run() and the schedule codec both check a schedule here, so each rule
     and its message are stated once.
     """
+    driven = set()
     for i, ph in enumerate(schedule.phases):
         if not 0 <= ph.unit < n:
             return f"phases[{i}].unit", f"unit {ph.unit} outside 0..{n - 1}"
+        # Simultaneous mode drives each unit toward one target.
+        if schedule.mode is Mode.SIMULTANEOUS and ph.unit in driven:
+            return f"phases[{i}].unit", (
+                f"unit {ph.unit} named twice in a simultaneous schedule"
+            )
+        driven.add(ph.unit)
         if not isinstance(ph.target, (MPF, SemiFlat, OutputAngle)):
             return f"phases[{i}].target", f"unknown phase target {ph.target!r}"
         if ph.steps < 1:

@@ -83,6 +83,12 @@ def _chain(seed: int):
             # Fold, then back to semi-flat, so a SemiFlat target moves.
             phases.append(Phase(u, SemiFlat(), rng.randint(2, steps_max)))
     mode = Mode.SIMULTANEOUS if seed % 3 == 0 else Mode.SEQUENTIAL
+    if mode is Mode.SIMULTANEOUS:
+        # A simultaneous schedule names each unit once: keep its first phase.
+        first = {}
+        for ph in phases:
+            first.setdefault(ph.unit, ph)
+        phases = list(first.values())
     return spec, ActivationSchedule(tuple(phases), mode)
 
 
@@ -150,7 +156,7 @@ _PINNED = {
     "chain0": ([0, 0], "26c952690cc1fa10", "7b90c1971d862c10", "e22e41b367fd1946"),
     "chain1": ([9, 2, 19, 8, 16, 9], "81eb7edeae4532a8", "714b25969080d625", "81292c373340007a"),
     "chain2": ([12, 7, 2, 7, 18], "ad8f6abf6e1f35b4", "14042e8c3af1aa2a", "f49c74dee720fa3f"),
-    "chain3": ([20, 20, 20], "5eefe05dd6851b61", "5ea4f83110f3546c", "f442f5d19f281e87"),
+    "chain3": ([18, 18], "b622d7502195dca8", "948a782045441c07", "f442f5d19f281e87"),
     "chain4": ([9, 2, 2], "186f2ce68d401254", "dbacd5b0926d609f", "c0505047d73269ee"),
     "chain5": ([2, 3, 3, 3], "758d682b874f779c", "bd65821e4205287d", "0e27450f602f6b85"),
     "chain6": ([5], "e9d07bf6db41c3a9", "ed194e9f062c91e0", "4f6dea9778df9c8a"),
@@ -159,16 +165,16 @@ _PINNED = {
     "chain9": ([7], "910ee804b33d1096", "d47fcfcaf7f9be9f", "9dcb1da79e6cfe50"),
     "chain10": ([10, 16, 14, 2, 11], "1db73ca250c84882", "123dac871165df10", "07161f1ae411ec27"),
     "chain11": ([4, 8, 16], "669aff25e5b7309a", "8895c949de362fa3", "4123c5be0154c667"),
-    "chain12": ([9, 9, 9, 9, 9], "79cae8c89eeb3588", "14f57c7ad5d9d140", "bc8a781f913efff7"),
+    "chain12": ([8, 8, 8], "3a9749fb6e6c9561", "f68276460bb50722", "bc8a781f913efff7"),
     "chain13": ([5], "2c205f663a5e1201", "6cf77a7f0cc68595", "0e5778c630de5248"),
     "chain14": ([6, 4, 2, 2, 2, 5], "132c4f01fe4b4f0b", "65f4c66fc8971fdc", "4a344ceaf611a21a"),
-    "chain15": ([4, 4], "8f4b19b376d1ad2a", "01ba186bfc4db8da", "2ad008df7b4978da"),
+    "chain15": ([4], "842f4a8773fe9940", "9adbd9667dd3dc2b", "2ad008df7b4978da"),
     "chain16": ([2, 1, 13, 4], "5a57012aaae3df58", "369e61aa0cbcdf90", "3ec8bd97dbce119a"),
     "chain17": ([6, 19, 19, 4, 4, 6], "021733f6a214c9fa", "d229b517766da664", "b4006cfd7c5007b8"),
-    "chain18": ([17, 17, 17, 17, 17, 17, 17], "ac67dd94ff45cf30", "0345130c09439d40", "d3960b72b60e5b38"),
+    "chain18": ([14, 14], "05875d2a7ae58d42", "f82dea366b775249", "d3960b72b60e5b38"),
     "chain19": ([14], "ed53af41e8b27ded", "794e5137ebe7595f", "6a8aa553d5cc836e"),
     "chain20": ([4, 9, 8, 11, 5, 9, 11, 12], "7b2beb381223e048", "412623aa802863da", "35dde3511fb28061"),
-    "chain21": ([5, 5, 5, 5], "91a13ef32f4270d9", "032842539416df63", "6477b52111f08706"),
+    "chain21": ([5, 5, 5], "e236443b6cc7b305", "8eccc70ef29e660c", "6477b52111f08706"),
     "chain22": ([0, 6, 6], "9cb5f209061b3271", "9f75a3c8f37df8df", "d9d68a18250ac26a"),
     "chain23": ([4, 1, 2, 3], "8886d56ccecbe6d7", "4b703e38c559a6ad", "705acd847dc23bad"),
 }

@@ -768,14 +768,9 @@ def test_run_validation(monkeypatch):
         run(manip, ActivationSchedule((Phase(0, "bogus", 3),), Mode.SEQUENTIAL))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a simultaneous schedule keeps only the last target of a unit named "
-    "twice; rejecting it waits for a corpus redraw, as 5 seeded chains use one",
-)
 def test_simultaneous_schedule_rejects_repeated_unit():
-    # Today run() fills one target per unit, so this runs SemiFlat alone
-    # and reports 5 committed steps for both phases.
+    # run() fills one target per unit, so this would run SemiFlat alone
+    # and report 5 committed steps for both phases.
     manip = build(preset_rotational(math.radians(89), math.radians(89)))
     phases = (Phase(0, MPF(), 5), Phase(0, SemiFlat(), 5))
     with pytest.raises(SpecError):
