@@ -745,14 +745,11 @@ def test_run_empty_schedule():
 
 def test_run_validation(monkeypatch):
     manip = build(preset_rotational(math.radians(89), math.radians(89)))
-    with pytest.raises(SpecError):
-        run(manip, ActivationSchedule((Phase(5, MPF(GAMMA), 3),), Mode.SEQUENTIAL))
-    with pytest.raises(SpecError):
-        run(manip, ActivationSchedule((Phase(0, MPF(GAMMA), 0),), Mode.SEQUENTIAL))
     # A phase past MAX_PHASE_STEPS, or phases whose steps sum past it, are
     # refused before any state is placed.
     phases = (Phase(0, MPF(GAMMA), 3), Phase(1, MPF(GAMMA), MAX_PHASE_STEPS + 1))
     total = (Phase(0, MPF(GAMMA), 60_000), Phase(1, MPF(GAMMA), 60_000))
+    twice = (Phase(0, MPF(GAMMA), 5), Phase(0, MPF(GAMMA), 5))
     with monkeypatch.context() as patch:
         patch.setattr(manip, "_placed", None)
         for mode in Mode:
@@ -760,12 +757,30 @@ def test_run_validation(monkeypatch):
                 run(manip, ActivationSchedule(phases, mode))
             with pytest.raises(SpecError, match="^schedule steps must total at most 100000$"):
                 run(manip, ActivationSchedule(total, mode))
+        with pytest.raises(SpecError, match="^unknown phase target 'bogus'$"):
+            run(manip, ActivationSchedule((Phase(0, "bogus", 3),), Mode.SEQUENTIAL))
+        # run() and a spec file check a schedule against the same rules, and
+        # run() gives the message the spec file gives after the field's path.
+        for sched in (
+            ActivationSchedule((Phase(5, MPF(GAMMA), 3),), Mode.SEQUENTIAL),
+            ActivationSchedule((Phase(0, MPF(GAMMA), 0),), Mode.SEQUENTIAL),
+            ActivationSchedule(phases, Mode.SEQUENTIAL),
+            ActivationSchedule(total, Mode.SIMULTANEOUS),
+            ActivationSchedule(twice, Mode.SIMULTANEOUS),
+        ):
+            data = {"mode": sched.mode.value, "phases": [
+                {"unit": ph.unit, "target": "mpf", "steps": ph.steps}
+                for ph in sched.phases
+            ]}
+            with pytest.raises(SpecError) as spec_file:
+                ActivationSchedule.from_json_dict(data, manip.dof, GAMMA, "spec.schedule")
+            with pytest.raises(SpecError) as ran:
+                run(manip, sched)
+            assert str(spec_file.value).split(": ", 1)[1] == str(ran.value)
     # With NaN or +inf no pair would be watched and no step checked.
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="finite and nonnegative"):
             run(manip, _mpf_schedule(2, steps=3), collision_clearance=bad)
-    with pytest.raises(SpecError):
-        run(manip, ActivationSchedule((Phase(0, "bogus", 3),), Mode.SEQUENTIAL))
 
 
 def test_simultaneous_schedule_rejects_repeated_unit():
