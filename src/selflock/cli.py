@@ -192,7 +192,7 @@ def _parse_alpha_list(text: str):
     return vals
 
 
-def _parse_schedule_text(text: str, n: int, gamma: float, mode=Mode.SEQUENTIAL):
+def _parse_schedule_text(text: str, n: int, gamma: float, mode: Mode):
     """Inline schedule: comma-joined unit:target[:steps], units 1-based.
 
     Targets are mpf, semiflat, or out<degrees> (e.g. out90). Each item is
@@ -388,13 +388,14 @@ def cmd_manip(args) -> int:
     if schedule is None:
         schedule = _default_schedule(preset or "", manip.dof, gamma)
     mode = Mode(args.mode) if args.mode else schedule.mode
-    if args.schedule is not None:
+    if args.schedule is None:
+        schedule = ActivationSchedule(schedule.phases, mode)
+    else:
         try:
             schedule = _parse_schedule_text(args.schedule, manip.dof, gamma, mode)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    schedule = ActivationSchedule(schedule.phases, mode)
 
     try:
         traj = run(manip, schedule, collision_clearance=args.clearance_mm)

@@ -241,7 +241,8 @@ class ActivationSchedule:
     """Ordered phases, each driving one unit toward a target state.
 
     Sequential mode runs the phases one after another; simultaneous mode
-    interpolates all phase targets in lockstep over a shared step grid.
+    interpolates all phase targets in lockstep over a shared step grid, so
+    it names each unit in one phase only.
     """
 
     phases: tuple[Phase, ...]
@@ -916,7 +917,8 @@ def run(
     already within the clearance at the initial state, up to rounding, are
     structural (for example the fold neighbours of a welded plate pair)
     and stay exempt for the run. An empty schedule yields the single
-    initial frame.
+    initial frame; a schedule that breaks a rule of _schedule_fault raises
+    SpecError before any state is placed.
     """
     # A NaN or infinite clearance would leave no pair watched, so no step
     # would ever be checked; the comparison below also rejects NaN.

@@ -252,13 +252,14 @@ def test_manip_bad_schedule_exit2(capsys):
         assert main(base + [text]) == 2
         err = capsys.readouterr().err
         assert f"--schedule.phases[{i}].steps: phase steps must be at " in err
-    schedule = cli._parse_schedule_text("1:mpf:100000", 2, math.radians(36.5))
+    gamma, sequential = math.radians(36.5), cli.Mode.SEQUENTIAL
+    schedule = cli._parse_schedule_text("1:mpf:100000", 2, gamma, sequential)
     assert schedule.phases[0].steps == 100000
     # The phases' steps may not sum past MAX_PHASE_STEPS either.
     assert main(base + ["1:mpf:60000,2:mpf:60000"]) == 2
     err = capsys.readouterr().err
     assert err == "error: --schedule.phases: schedule steps must total at most 100000\n"
-    schedule = cli._parse_schedule_text("1:mpf:50000,2:mpf:50000", 2, math.radians(36.5))
+    schedule = cli._parse_schedule_text("1:mpf:50000,2:mpf:50000", 2, gamma, sequential)
     assert [ph.steps for ph in schedule.phases] == [50000, 50000]
     # A simultaneous schedule drives each unit toward one target, so it may
     # not name a unit twice; a sequential one may.
