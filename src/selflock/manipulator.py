@@ -496,23 +496,44 @@ class Manipulator:
             raise SpecError(f"marker {spec.marker!r} does not resolve")
 
         # Collision nodes and their local polygons: ("p", unit, plate) the
-        # plate trimmed at the shared corner, ("bp", conn index) the square
-        # in its own frame, ("slab",) the base slab already in world frame.
+        # plate trimmed at the shared corner, at row 4 * unit + plate; then
+        # ("bp", conn index) the square in its own frame, in chain order;
+        # then ("slab",) the base slab already in world frame. Rigid body
+        # label per node: along the chain each connection gives its child
+        # plate, and its bounding plate, the body of its parent plate.
         self.nodes = [("p", u, k) for u in range(n) for k in range(4)]
         polys = [
             _trimmed(unit, u, k) for u, unit in enumerate(spec.units) for k in range(4)
         ]
-        for ci, c in enumerate(spec.connections):
-            if isinstance(c, BoundingPlate):
-                self.nodes.append(("bp", ci))
+        self._body = list(range(4 * n))
+        # Each chain connection resolves into one link: parent unit and
+        # plate, child unit and plate, and its rigid steps, with a bounding
+        # plate placed after the first. Spec poses pass the Pose check at
+        # 1e-9, which their composes can drift past, so each is replaced by
+        # its nearest rotation.
+        self._base_pose = _nearest_rotation(self.base.pose)
+        self._links = []
+        for ci, c in chain:
+            body = self._body[4 * c.parent + c.parent_plate]
+            self._body[4 * c.child + c.child_plate] = body
+            if isinstance(c, Weld):
+                steps = (c.rel,)
+            else:
+                steps = (c.attach_parent, c.attach_child)
                 s = c.side
+                self.nodes.append(("bp", ci))
                 polys.append(
                     np.array(
                         [[0.0, 0.0, 0.0], [0.0, s, 0.0], [-s, s, 0.0], [-s, 0.0, 0.0]]
                     )
                 )
+                self._body.append(body)
+            steps = tuple(map(_nearest_rotation, steps))
+            self._links.append((c.parent, c.parent_plate, c.child, c.child_plate, steps))
         if self.base.slab_side > 0.0:
+            # The slab is ground, in the body of the base plate.
             self.nodes.append(("slab",))
+            self._body.append(self._body[4 * self.base.unit + self.base.plate])
             h = 0.5 * self.base.slab_side
             cx, cy, cz = self.base.slab_center
             polys.append(
@@ -536,35 +557,6 @@ class Manipulator:
         # The marker corner, on its untrimmed plate.
         mesh = plate_meshes(spec.units[mu].alpha, spec.units[mu].plate_sizes[mp])[mp]
         self._marker = mesh.vertices[mc]
-
-        # Rigid body label per node. The base plate and the slab are ground;
-        # along the chain each connection gives its child plate, and its
-        # bounding plate, the body of its parent plate.
-        row = {node: i for i, node in enumerate(self.nodes)}
-        self._body = list(range(len(self.nodes)))
-        ground = -1
-        self._body[row[("p", self.base.unit, self.base.plate)]] = ground
-        if self.base.slab_side > 0.0:
-            self._body[row[("slab",)]] = ground
-        # Each chain connection resolves into one link: parent unit and
-        # plate, child unit and plate, and its rigid steps, with a bounding
-        # plate placed after the first. Spec poses pass the Pose check at
-        # 1e-9, which their composes can drift past, so each is replaced by
-        # its nearest rotation.
-        self._base_pose = _nearest_rotation(self.base.pose)
-        self._links, bp_conns = [], []
-        for ci, c in chain:
-            body = self._body[row[("p", c.parent, c.parent_plate)]]
-            self._body[row[("p", c.child, c.child_plate)]] = body
-            if isinstance(c, Weld):
-                steps = (c.rel,)
-            else:
-                steps = (c.attach_parent, c.attach_child)
-                self._body[row[("bp", ci)]] = body
-                bp_conns.append(ci)
-            steps = tuple(map(_nearest_rotation, steps))
-            self._links.append((c.parent, c.parent_plate, c.child, c.child_plate, steps))
-        self._bp_order = np.argsort(bp_conns)  # bounding plates, chain to node order
 
         # Plates k and k +- 1 (mod 4) of one unit share a fold: their plate
         # indices differ by an odd number.
@@ -635,9 +627,9 @@ class Manipulator:
         rt[:, :, 3] = (f[..., :3, :] @ plate_rt[:, :, 3, :, None])[..., 0] + f[..., 3, :]
         rt = rt.reshape(-1, 4, 3)
         poses = _RowPose.rows(rt)
-        # Bounding plate nodes follow the plates, in connection order.
+        # Bounding plate nodes follow the plates, in chain order.
         if bp_world:
-            rt = np.concatenate((rt, [bp_world[i].rt for i in self._bp_order]))
+            rt = np.concatenate((rt, [pose.rt for pose in bp_world]))
         m = len(rt)
         rot = rt[:, :3].transpose(0, 2, 1)
         local, axes = self._local, self._local_axes

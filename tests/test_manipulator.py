@@ -305,11 +305,16 @@ def _reference_model(spec):
     """Nodes, pairs and body partition by union-find, as build resolved them."""
     base = next(c for c in spec.connections if isinstance(c, Base))
     nodes = [("p", u, k) for u in range(len(spec.units)) for k in range(4)]
-    nodes += [
-        ("bp", ci)
-        for ci, c in enumerate(spec.connections)
-        if isinstance(c, BoundingPlate)
-    ]
+    # Bounding plates in the order of a parents-first walk: the base unit
+    # first, then the units in the order they are reached, each unit's
+    # children in connection order.
+    reached = [base.unit]
+    for u in reached:
+        for ci, c in enumerate(spec.connections):
+            if not isinstance(c, Base) and c.parent == u:
+                reached.append(c.child)
+                if isinstance(c, BoundingPlate):
+                    nodes.append(("bp", ci))
     if base.slab_side > 0.0:
         nodes.append(("slab",))
     parent = {node: node for node in nodes + ["ground"]}
@@ -680,7 +685,7 @@ def test_broad_phase_exact_under_skewed_spec_pose():
 def test_bounding_plates_out_of_chain_order_place_their_own_squares():
     # The chain walks unit 0's bounding plate (connection 2) before unit
     # 1's (connection 1); node order, and so the rows of _placed, follows
-    # the connection list.
+    # the chain, not the connection list.
     turn = Pose(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
                 np.array([-20.0, 45.0, 0.0]))
     flush = Pose(np.eye(3), np.array([-25.0, 0.0, 0.0]))
@@ -691,6 +696,7 @@ def test_bounding_plates_out_of_chain_order_place_their_own_squares():
     )
     spec = ManipulatorSpec(tuple(_unit() for _ in range(3)), conns, (2, 3, 2))
     manip = build(spec)
+    assert manip.nodes[12:14] == [("bp", 2), ("bp", 1)]
     thetas = manip.semi_flat_thetas()
     plate_rt, _, world, _ = manip._placed(thetas)
     frames, plates, _ = manip._frames(plate_rt)
