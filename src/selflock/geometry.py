@@ -549,6 +549,10 @@ def plate_axis_bounds(
     # unbounded own interval, so its gap is -inf.
     own_lo = np.where(keep.T, lo[diag, :, diag].T, -np.inf)
     own_hi = np.where(keep.T, hi[diag, :, diag].T, np.inf)
-    # gap[j, i]: best gap of polygon j against polygon i on polygon i's axes.
-    gap = np.maximum(lo - own_hi, own_lo - hi).max(axis=1)
+    # gap[j, i]: best gap of polygon j against polygon i on polygon i's
+    # axes, written in place over lo and hi, since further (n, v + 1, n)
+    # temporaries fall out of cache past about 20 units.
+    lo -= own_hi
+    np.subtract(own_lo, hi, out=hi)
+    gap = np.maximum(lo, hi, out=lo).max(axis=1)
     return np.maximum(gap[J, I], gap[I, J])

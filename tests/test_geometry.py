@@ -532,6 +532,35 @@ def test_plate_axis_bounds_matches_all_to_all_layout(state):
     assert np.array_equal(bounds, _all_to_all_axis_bounds(P, I, J))
 
 
+def _axis_bounds_fresh_temporaries(P, axes, keep, I, J):
+    """plate_axis_bounds with its gaps in fresh (n, v + 1, n) temporaries,
+    as the axis-major layout first wrote them."""
+    n, v, _ = P.shape
+    proj = (P.reshape(-1, 3) @ axes.transpose(2, 1, 0).reshape(3, -1)).reshape(n, v, -1, n)
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    diag = np.arange(n)
+    own_lo = np.where(keep.T, lo[diag, :, diag].T, -np.inf)
+    own_hi = np.where(keep.T, hi[diag, :, diag].T, np.inf)
+    gap = np.maximum(lo - own_hi, own_lo - hi).max(axis=1)
+    return np.maximum(gap[J, I], gap[I, J])
+
+
+def test_plate_axis_bounds_in_place_gaps_keep_bytes():
+    # The gaps written in place are the same IEEE operations, so a run's
+    # bounds keep their bytes, on stacks below and past the cache cliff.
+    rng = np.random.default_rng(0)
+    for n in (4, 16, 32):
+        units = tuple(UnitSpec(math.radians(89), (UP, DOWN)[u % 2]) for u in range(n))
+        manip = build(preset_modular(units))
+        I, J = manip._pair_rows
+        semi = np.array(manip.semi_flat_thetas())
+        for thetas in (semi, semi + rng.uniform(-2.0, 2.0, n)):
+            _, _, P, axes = manip._placed(thetas)
+            got = plate_axis_bounds(P, axes, manip._keep, I, J)
+            want = _axis_bounds_fresh_temporaries(P, axes, manip._keep, I, J)
+            assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_modular_state())
 def test_placed_axes_match_world_axes(state):
