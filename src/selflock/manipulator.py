@@ -20,6 +20,7 @@ import enum
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from functools import partial
@@ -272,6 +273,9 @@ def _schedule_fault(schedule: ActivationSchedule, n: int):
     """
     driven = set()
     for i, ph in enumerate(schedule.phases):
+        for name, v in (("unit", ph.unit), ("steps", ph.steps)):
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                return f"phases[{i}].{name}", f"phase {name} must be an integer, got {v!r}"
         if not 0 <= ph.unit < n:
             return f"phases[{i}].unit", f"unit {ph.unit} outside 0..{n - 1}"
         # Simultaneous mode drives each unit toward one target.

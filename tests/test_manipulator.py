@@ -783,6 +783,19 @@ def test_run_validation(monkeypatch):
             with pytest.raises(SpecError) as ran:
                 run(manip, sched)
             assert str(spec_file.value).split(": ", 1)[1] == str(ran.value)
+        # A unit or step count that is not an integer, or is a bool, is
+        # refused at the field the spec file names.
+        for ph, name in (
+            (Phase(0, MPF(GAMMA), 2.5), "steps"),
+            (Phase(0.5, MPF(GAMMA), 2), "unit"),
+            (Phase(True, MPF(GAMMA), 2), "unit"),
+            (Phase(0, MPF(GAMMA), True), "steps"),
+        ):
+            data = {"phases": [{"unit": ph.unit, "target": "mpf", "steps": ph.steps}]}
+            with pytest.raises(SpecError, match=rf"^spec\.schedule\.phases\[0\]\.{name}: "):
+                ActivationSchedule.from_json_dict(data, manip.dof, GAMMA, "spec.schedule")
+            with pytest.raises(SpecError, match=f"^phase {name} must be an integer, got "):
+                run(manip, ActivationSchedule((ph,), Mode.SEQUENTIAL))
     # With NaN or +inf no pair would be watched and no step checked.
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="finite and nonnegative"):
