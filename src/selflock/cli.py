@@ -39,7 +39,6 @@ from .manipulator import (
     preset_rotational,
     preset_translational,
     run,
-    translational_link_lengths,
     workspace_projection,
     UnitSpec,
 )
@@ -368,7 +367,8 @@ def cmd_manip(args) -> int:
                 if len(alphas) != 1:
                     raise ValueError("translational preset takes exactly one alpha")
                 spec = preset_translational(math.radians(alphas[0]), gamma, args.d_mm)
-                f, q = translational_link_lengths(gamma, args.d_mm)
+                # The zigzag lengths f and q, as the spec's plates hold them.
+                f, q = (spec.units[u].plate_sizes[3] for u in (0, 1))
                 extra_meta = {"f_mm": f, "q_mm": q}
             else:
                 units = tuple(
@@ -426,10 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate self-locking origami joints and manipulators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    configs = [c.value for c in Configuration]
 
     sp = sub.add_parser("sweep", help="tabulate joint angles over a theta1 grid")
     sp.add_argument("--alpha-deg", type=float, required=True)
-    sp.add_argument("--config", choices=["up", "down"], default="up")
+    sp.add_argument("--config", choices=configs, default="up")
     sp.add_argument("--min-deg", type=float, required=True)
     sp.add_argument("--max-deg", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
@@ -439,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mo = sub.add_parser("moment", help="tabulate pouch moments over a theta1 grid")
     mo.add_argument("--alpha-deg", type=float, required=True)
-    mo.add_argument("--config", choices=["up", "down"], default="up")
+    mo.add_argument("--config", choices=configs, default="up")
     mo.add_argument("--min-deg", type=float, default=-90.0)
     mo.add_argument("--max-deg", type=float, default=90.0)
     mo.add_argument("--steps", type=int, default=181)
@@ -450,9 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mo.set_defaults(func=cmd_moment)
 
     ma = sub.add_parser("manip", help="run a manipulator schedule and export it")
-    ma.add_argument(
-        "preset", nargs="?", choices=["rotational", "translational", "modular"]
-    )
+    ma.add_argument("preset", nargs="?", choices=list(_PRESET_ALPHAS))
     ma.add_argument("--alpha-deg", help="comma separated list, one per unit")
     ma.add_argument("--gamma-deg", type=float, default=math.degrees(GAMMA_DEFAULT))
     ma.add_argument("--d-mm", type=float, default=25.0)
@@ -460,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ma.add_argument(
         "--schedule", help='inline schedule "1:mpf,2:out90[:steps]", units 1-based'
     )
-    ma.add_argument("--mode", choices=["sequential", "simultaneous"])
+    ma.add_argument("--mode", choices=[m.value for m in Mode])
     ma.add_argument("--clearance-mm", type=float, default=CLEARANCE_DEFAULT)
     ma.add_argument("--plane", default="xz", help="SVG projections, e.g. xz,xy")
     ma.add_argument("--out", help="output path (stdout when omitted)")
@@ -469,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("states", help="print semi-flat and MPF joint states")
     st.add_argument("--alpha-deg", type=float, required=True)
-    st.add_argument("--config", choices=["up", "down"], default="up")
+    st.add_argument("--config", choices=configs, default="up")
     st.add_argument("--gamma-deg", type=float, default=math.degrees(GAMMA_DEFAULT))
     st.set_defaults(func=cmd_states)
 

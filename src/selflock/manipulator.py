@@ -562,21 +562,15 @@ class Manipulator:
         mesh = plate_meshes(spec.units[mu].alpha, spec.units[mu].plate_sizes[mp])[mp]
         self._marker = mesh.vertices[mc]
 
-        # Plates k and k +- 1 (mod 4) of one unit share a fold: their plate
-        # indices differ by an odd number.
-        self.pairs = []
-        rows_i, rows_j = [], []
-        for i, a in enumerate(self.nodes):
-            for j in range(i + 1, len(self.nodes)):
-                b = self.nodes[j]
-                if self._body[i] == self._body[j]:
-                    continue
-                if a[0] == b[0] == "p" and a[1] == b[1] and (a[2] - b[2]) % 2 == 1:
-                    continue
-                self.pairs.append((a, b))
-                rows_i.append(i)
-                rows_j.append(j)
-        self._pair_rows = (np.array(rows_i, dtype=int), np.array(rows_j, dtype=int))
+        # A candidate pair is two node rows in different bodies, except
+        # plates k and k +- 1 (mod 4) of one unit, which share a fold: plate
+        # rows 4u + k of one unit whose indices differ by an odd number.
+        i, j = np.triu_indices(len(self.nodes), 1)
+        body = np.array(self._body)
+        fold = (j < 4 * n) & (i // 4 == j // 4) & ((j - i) % 2 == 1)
+        keep = (body[i] != body[j]) & ~fold
+        self._pair_rows = (i[keep], j[keep])
+        self.pairs = [(self.nodes[a], self.nodes[b]) for a, b in zip(*self._pair_rows)]
 
     @property
     def dof(self) -> int:
