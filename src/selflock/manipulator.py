@@ -641,9 +641,25 @@ class Manipulator:
         mu, mp, _ = self.spec.marker
         return frames[mu].compose(plates[mu][mp]).apply(self._marker)
 
+    def _theta1s(self, thetas) -> np.ndarray:
+        """thetas as the vector of dof finite theta1s the public calls take.
+
+        run() builds its own states and places them without this check.
+        """
+        try:
+            v = np.asarray(thetas, dtype=float)
+        except (TypeError, ValueError):
+            v = None
+        if v is None or v.shape != (self.dof,) or not np.isfinite(v).all():
+            raise DomainError(
+                f"theta1 vector must hold {self.dof} finite values, one per "
+                f"unit; got {thetas!r}"
+            )
+        return v
+
     def world_vertices(self, thetas) -> dict:
         """World vertex arrays of every collision node at the given state."""
-        world = self._placed(thetas)[2]
+        world = self._placed(self._theta1s(thetas))[2]
         return {
             node: world[i, :count]
             for i, (node, count) in enumerate(zip(self.nodes, self._counts))
@@ -651,7 +667,7 @@ class Manipulator:
 
     def marker_world(self, thetas) -> np.ndarray:
         """World position of the spec's marker corner at the given state."""
-        return self._marker_at(self._kinematics.rotations(thetas)[0])
+        return self._marker_at(self._kinematics.rotations(self._theta1s(thetas))[0])
 
 
 def _nearest_rotation(pose: Pose) -> Pose:

@@ -412,6 +412,10 @@ def test_preset_shapes():
     assert len(mod.nodes) == 18  # 16 plates + bounding plate + base slab
     assert len(mod.pairs) == 131
 
+    for units, nodes, pairs in ((16, 66, 2063), (32, 130, 8223)):
+        big = build(preset_modular(tuple(_unit() for _ in range(units))))
+        assert (len(big.nodes), len(big.pairs)) == (nodes, pairs)
+
 
 def test_preset_modular_small_chains():
     kinds = lambda spec: [type(c).__name__ for c in spec.connections]
@@ -985,6 +989,31 @@ def test_world_vertices_and_pair_margins():
                 float(margin), abs=1e-9
             )
     assert {node[0] for node in manip.nodes} == {"p", "bp", "slab"}
+
+
+# sha256 of world_vertices then marker_world at each state of
+# test_theta1_vector_checked_at_public_placement_calls, before the check.
+_PLACEMENT_SHA256 = "6868d78977a5ae6e3df81b5814989f923772ed3d29e223f5a38fce0dd7a2fbb2"
+
+
+def test_theta1_vector_checked_at_public_placement_calls():
+    manip = build(preset_modular(tuple(_unit() for _ in range(4))))
+    for bad in ([0.3] * 3, [0.3], [0.3, 0.3, math.nan, 0.3], 0.3):
+        for call in (manip.world_vertices, manip.marker_world):
+            with pytest.raises(DomainError, match="^theta1 vector must hold 4 finite"):
+                call(bad)
+    # A valid vector places as it did before the check, in any sequence type.
+    h = hashlib.sha256()
+    for thetas in (
+        manip.semi_flat_thetas(),
+        [0.3] * 4,
+        (0.1, -0.2, 0.3, 0.4),
+        np.array([0.5] * 4),
+    ):
+        for verts in manip.world_vertices(thetas).values():
+            h.update(verts.tobytes())
+        h.update(manip.marker_world(thetas).tobytes())
+    assert h.hexdigest() == _PLACEMENT_SHA256
 
 
 def test_workspace_projection():
