@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from selflock import cli
+from selflock import cli, translational_link_lengths
 from selflock.cli import _build_parser, main
 
 
@@ -180,6 +180,17 @@ def test_manip_translational_meta(capsys):
     assert meta["f_mm"] == pytest.approx(33.7855609, abs=1e-6)
     assert meta["q_mm"] == pytest.approx(31.1000642, abs=1e-6)
     assert meta["mode"] == "simultaneous"
+
+
+def test_manip_translational_meta_lengths_exact(capsys):
+    for gamma_deg, d_mm in (("30", "17.3"), ("52.25", "40")):
+        rc = main(["manip", "translational", "--gamma-deg", gamma_deg,
+                   "--d-mm", d_mm, "--schedule",
+                   "1:out90:1,2:mpf:1,3:mpf:1,4:out90:1"])
+        assert rc == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        f, q = translational_link_lengths(math.radians(float(gamma_deg)), float(d_mm))
+        assert (meta["f_mm"], meta["q_mm"]) == (cli._r9(f), cli._r9(q))
 
 
 def test_manip_modular_default_alphas(capsys):
