@@ -998,7 +998,7 @@ _PLACEMENT_SHA256 = "6868d78977a5ae6e3df81b5814989f923772ed3d29e223f5a38fce0dd7a
 
 def test_theta1_vector_checked_at_public_placement_calls():
     manip = build(preset_modular(tuple(_unit() for _ in range(4))))
-    for bad in ([0.3] * 3, [0.3], [0.3, 0.3, math.nan, 0.3], 0.3):
+    for bad in ([0.3] * 3, [0.3], [0.3, 0.3, math.nan, 0.3], 0.3, [0.3, 0.3, "x", 0.3]):
         for call in (manip.world_vertices, manip.marker_world):
             with pytest.raises(DomainError, match="^theta1 vector must hold 4 finite"):
                 call(bad)
