@@ -26,9 +26,15 @@ from .linkage import (
     Configuration,
     DomainError,
     JointState,
+    _check_finite,
     theta3_up,
     theta4_up,
 )
+
+# Plate edge m of a unit in mm, and the vertex-corner trim of its
+# collision polygons in mm.
+M_DEFAULT = 25.0
+_TRIM_MM = 2.0
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -231,8 +237,7 @@ def plate_meshes(alpha: float, m: float):
     grounded plate's u41 edge.
     """
     CentralAngles.self_lock(alpha)
-    if not 0.0 < m < math.inf:
-        raise DomainError(f"m = {m!r} must be finite and positive")
+    _check_finite("m", m)
     a = alpha
     cs = m / math.sin(a)
     r2 = m * math.sqrt(2.0)
@@ -264,7 +269,7 @@ def plate_meshes(alpha: float, m: float):
     )
 
 
-def trim_corner(mesh: PlateMesh, t: float = 2.0) -> PlateMesh:
+def trim_corner(mesh: PlateMesh, t: float = _TRIM_MM) -> PlateMesh:
     """Cut the vertex corner back by t mm along both adjacent edges.
 
     Collision meshes use this to keep the always-touching shared corner of
@@ -379,7 +384,7 @@ def _one_unit(alpha: float, config: Configuration) -> UnitKinematics:
 
 
 def unit_poses(
-    alpha: float, theta1: float, config: Configuration, m: float = 25.0
+    alpha: float, theta1: float, config: Configuration, m: float = M_DEFAULT
 ) -> UnitPoseSet:
     """Forward kinematics of one unit: place all four plates for a theta1.
 

@@ -173,6 +173,15 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha = {alpha!r} outside (0, pi/2]")
 
 
+def _check_finite(name: str, value: float, nonnegative: bool = False) -> None:
+    # The one rule for every length, size, pressure and clearance; NaN
+    # fails both comparisons, so it is refused too.
+    low = 0.0 <= value if nonnegative else 0.0 < value
+    if not (low and value < math.inf):
+        sign = "nonnegative" if nonnegative else "positive"
+        raise DomainError(f"{name} = {value!r} must be finite and {sign}")
+
+
 def theta4_of_theta1(alpha: float, theta1, config: Configuration):
     """Output fold angle as a closed form of the input fold angle.
 
@@ -253,16 +262,10 @@ def theta1_of_theta4(alpha: float, theta4: float, config: Configuration) -> floa
     Down; the fold-over points 0 and +-pi have no finite preimage.
     """
     _check_alpha(alpha)
-    if config is Configuration.UP:
-        if not 0.0 < theta4 < math.pi:
-            raise DomainError(
-                f"theta4 = {theta4!r} outside the Up branch range (0, pi)"
-            )
-    else:
-        if not -math.pi < theta4 < 0.0:
-            raise DomainError(
-                f"theta4 = {theta4!r} outside the Down branch range (-pi, 0)"
-            )
+    if not 0.0 < config.sign * theta4 < math.pi:
+        up = config is Configuration.UP
+        branch = "Up branch range (0, pi)" if up else "Down branch range (-pi, 0)"
+        raise DomainError(f"theta4 = {theta4!r} outside the {branch}")
     t = abs(theta4)
     return 2.0 * math.atan2(math.cos(alpha) * math.cos(t), math.sin(t))
 

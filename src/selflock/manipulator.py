@@ -28,6 +28,8 @@ from functools import partial
 import numpy as np
 
 from .geometry import (
+    M_DEFAULT,
+    _TRIM_MM,
     Pose,
     UnitKinematics,
     _RowPose,
@@ -42,15 +44,14 @@ from .linkage import (
     CentralAngles,
     Configuration,
     DomainError,
+    _check_finite,
     mpf_theta1,
     semi_flat_theta1,
     theta1_of_theta4,
 )
 
-M_DEFAULT = 25.0
 GAMMA_DEFAULT = math.radians(36.5)
 CLEARANCE_DEFAULT = 0.1
-_TRIM_MM = 2.0
 AXES_NOTE = "u12=+x,u41=+y,ground z=0"
 # A frame takes about 310 B and a rotational step about 0.2 ms (2-vCPU
 # Xeon VM), so a run at this bound holds about 31 MB and runs about 20 s.
@@ -79,8 +80,7 @@ class UnitSpec:
 
     def __post_init__(self):
         CentralAngles.self_lock(self.alpha)
-        if not 0.0 < self.m < math.inf:
-            raise DomainError(f"m = {self.m!r} must be finite and positive")
+        _check_finite("m", self.m)
         if self.plate_m is not None:
             pm = tuple(float(v) for v in self.plate_m)
             if len(pm) != 4 or not all(0.0 < v < math.inf for v in pm):
@@ -130,10 +130,7 @@ class BoundingPlate:
     attach_child: Pose
 
     def __post_init__(self):
-        if not 0.0 < self.side < math.inf:
-            raise DomainError(
-                f"bounding plate side = {self.side!r} must be finite and positive"
-            )
+        _check_finite("bounding plate side", self.side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +149,8 @@ class Base:
     slab_center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        # 0 means no slab; NaN fails the comparison too.
-        if not 0.0 <= self.slab_side < math.inf:
-            raise DomainError(
-                f"base slab_side = {self.slab_side!r} must be finite and nonnegative"
-            )
+        # 0 means no slab.
+        _check_finite("base slab_side", self.slab_side, nonnegative=True)
         center = np.asarray(self.slab_center, dtype=float)
         if center.shape != (3,) or not np.isfinite(center).all():
             raise DomainError(
@@ -684,7 +678,7 @@ def _trimmed(unit: UnitSpec, u: int, k: int) -> np.ndarray:
     """Collision polygon of plate k of unit u: the plate, corner trimmed."""
     size = unit.plate_sizes[k]
     try:
-        return trim_corner(plate_meshes(unit.alpha, size)[k], _TRIM_MM).vertices
+        return trim_corner(plate_meshes(unit.alpha, size)[k]).vertices
     except DomainError as exc:
         raise DomainError(
             f"unit {u} plate {k} size {size!r} mm must exceed the "
@@ -766,8 +760,7 @@ def translational_link_lengths(gamma: float, d: float) -> tuple:
         raise DomainError(
             f"gamma = {gamma!r} outside (0, pi/2); the zigzag degenerates"
         )
-    if not 0.0 < d < math.inf:
-        raise DomainError(f"d = {d!r} must be finite and positive")
+    _check_finite("d", d)
     return d / math.tan(gamma), d / math.cos(gamma)
 
 
@@ -784,10 +777,7 @@ def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> Manipulator
     n = len(units)
     if n == 0:
         raise SpecError("modular preset needs at least one unit")
-    if not 0.0 < bounding_plate_side < math.inf:
-        raise DomainError(
-            f"bounding_plate_side = {bounding_plate_side!r} must be finite and positive"
-        )
+    _check_finite("bounding_plate_side", bounding_plate_side)
     s = bounding_plate_side
     ndist = (n + 1) // 2
 
@@ -927,12 +917,8 @@ def run(
     SpecError before any state is placed.
     """
     # A NaN or infinite clearance would leave no pair watched, so no step
-    # would ever be checked; the comparison below also rejects NaN.
-    if not 0.0 <= collision_clearance < math.inf:
-        raise DomainError(
-            f"collision clearance = {collision_clearance!r} must be finite "
-            "and nonnegative"
-        )
+    # would ever be checked.
+    _check_finite("collision clearance", collision_clearance, nonnegative=True)
     units = manipulator.units
     fault = _schedule_fault(schedule, len(units))
     if fault:

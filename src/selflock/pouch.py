@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import CentralAngles, DomainError, _float_or_array
+from .linkage import CentralAngles, DomainError, _check_finite, _float_or_array
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class ActuatorConditions:
     pressure: float
 
     def __post_init__(self):
-        if not 0.0 <= self.pressure < math.inf:
-            raise DomainError(
-                f"pressure = {self.pressure!r} must be finite and nonnegative"
-            )
+        _check_finite("pressure", self.pressure, nonnegative=True)
 
 
 def pouch_geometry(m: float, alpha: float) -> PouchGeometry:
@@ -58,8 +55,7 @@ def pouch_geometry(m: float, alpha: float) -> PouchGeometry:
     Valid for alpha strictly between 45 and 90 degrees; at 45 degrees the
     cut consumes the whole plate and the pouch side Lp reaches zero.
     """
-    if not 0.0 < m < math.inf:
-        raise DomainError(f"m = {m!r} must be finite and positive")
+    _check_finite("m", m)
     CentralAngles.self_lock(alpha)
     L1 = m / math.tan(alpha)
     Lp = (m - L1) / math.sin(alpha)

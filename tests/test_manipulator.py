@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from selflock import (
     ActivationSchedule,
+    ActuatorConditions,
     Base,
     BoundingPlate,
     Configuration,
@@ -31,12 +32,15 @@ from selflock import (
     Weld,
     build,
     pair_margins,
+    plate_meshes,
     polygon_margins_batch,
+    pouch_geometry,
     preset_modular,
     preset_rotational,
     preset_translational,
     run,
     spec_sha256,
+    theta1_of_theta4,
     translational_link_lengths,
     workspace_projection,
 )
@@ -1026,3 +1030,49 @@ def test_workspace_projection():
     assert np.allclose(workspace_projection(traj, "XY")[0], traj.frames[0].marker[:2])
     with pytest.raises(DomainError):
         workspace_projection(traj, "ab")
+
+
+def _clearance_run(v):
+    manip = build(preset_rotational(math.radians(89), math.radians(89)))
+    run(manip, ActivationSchedule((), Mode.SEQUENTIAL), collision_clearance=v)
+
+
+# Each boundary that refuses a length, size, pressure or clearance, with the
+# name its message gives and the rule it keeps.
+_FINITE_SITES = (
+    ("pressure", ActuatorConditions, "nonnegative"),
+    ("m", lambda v: pouch_geometry(v, math.radians(60)), "positive"),
+    ("m", lambda v: plate_meshes(math.radians(60), v), "positive"),
+    ("m", lambda v: UnitSpec(math.radians(89), UP, v), "positive"),
+    (
+        "bounding plate side",
+        lambda v: BoundingPlate(0, 3, 1, 0, v, Pose.identity(), Pose.identity()),
+        "positive",
+    ),
+    ("base slab_side", lambda v: Base(0, slab_side=v), "nonnegative"),
+    ("d", lambda v: translational_link_lengths(GAMMA, v), "positive"),
+    ("bounding_plate_side", lambda v: preset_modular([_unit()] * 2, v), "positive"),
+    ("collision clearance", _clearance_run, "nonnegative"),
+)
+
+
+def _refusal_cases():
+    for k, (name, call, rule) in enumerate(_FINITE_SITES):
+        for v in (math.nan, math.inf, -0.5 if rule == "nonnegative" else 0.0):
+            msg = f"{name} = {v!r} must be finite and {rule}"
+            yield pytest.param(call, v, msg, id=f"{k}-{name}-{v!r}")
+    for config, t4, rng in ((UP, -0.5, "Up branch range (0, pi)"),
+                            (UP, math.nan, "Up branch range (0, pi)"),
+                            (DOWN, 0.5, "Down branch range (-pi, 0)"),
+                            (DOWN, -0.0, "Down branch range (-pi, 0)")):
+        yield pytest.param(
+            lambda v, c=config: theta1_of_theta4(math.radians(60), v, c), t4,
+            f"theta4 = {t4!r} outside the {rng}", id=f"theta4-{config.value}-{t4!r}",
+        )
+
+
+@pytest.mark.parametrize("call, value, message", _refusal_cases())
+def test_boundary_refusal_messages_exact(call, value, message):
+    with pytest.raises(DomainError) as exc:
+        call(value)
+    assert str(exc.value) == message
