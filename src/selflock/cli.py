@@ -251,17 +251,20 @@ def _rounded(v):
     return _r9(v) if isinstance(v, float) else v
 
 
+def _trajectory_rows(traj) -> list:
+    """One (t, each joint's theta1 in degrees, marker x, y, z) row per frame."""
+    return [
+        (f.t, *map(math.degrees, f.theta1s), *f.marker.tolist()) for f in traj.frames
+    ]
+
+
 def _trajectory_json(traj, extra_meta: dict) -> str:
     meta = {k: _rounded(v) for k, v in {**traj.meta, **extra_meta}.items()}
-    frames = traj.frames
-    joints = ", ".join(["%s"] * len(frames[0].theta1s))
+    rows = _trajectory_rows(traj)
+    joints = ", ".join(["%s"] * len(traj.frames[0].theta1s))
     item = '{"t": %s, "joints_deg": [' + joints + '], "marker_mm": [%s, %s, %s]}'
-    values = [
-        x
-        for f in frames
-        for x in (f.t, *map(math.degrees, f.theta1s), *f.marker.tolist())
-    ]
-    return _json_list({"meta": meta}, "frames", item, len(frames), values)
+    values = [x for row in rows for x in row]
+    return _json_list({"meta": meta}, "frames", item, len(rows), values)
 
 
 def _trajectory_csv(traj) -> str:
@@ -271,10 +274,7 @@ def _trajectory_csv(traj) -> str:
         + [f"joint{i + 1}_deg" for i in range(n)]
         + ["marker_x_mm", "marker_y_mm", "marker_z_mm"]
     )
-    rows = [
-        (f.t, *(math.degrees(t) for t in f.theta1s), *f.marker) for f in traj.frames
-    ]
-    return _csv(columns, rows)
+    return _csv(columns, _trajectory_rows(traj))
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
@@ -343,7 +343,10 @@ def cmd_manip(args) -> int:
                 schedule = ActivationSchedule.from_json_dict(
                     data["schedule"], manip.dof, gamma, "spec.schedule"
                 )
-        except (OSError, json.JSONDecodeError, SpecError, DomainError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, SpecError, DomainError and the
+            # UnicodeDecodeError of a file that is not UTF-8; json raises
+            # RecursionError on arrays or objects nested too deep to decode.
             print(f"error: invalid manipulator spec: {exc}", file=sys.stderr)
             return 4
         preset = None

@@ -383,6 +383,14 @@ def test_manip_bad_spec_exit4(tmp_path, capsys):
     assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
     bad.write_text(json.dumps({"units": []}))
     assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
+    # Not UTF-8 (UnicodeDecodeError) and nested too deep for json to decode
+    # (RecursionError): both left main with a traceback.
+    for raw in (b"\xff{}", b"[" * 100_000):
+        bad.write_bytes(raw)
+        assert main(["manip", "--spec", str(bad), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: invalid manipulator spec: ")
+        assert "Traceback" not in err
 
     # json.dumps writes the NaN and Infinity tokens that json.loads accepts.
     from selflock import preset_rotational
