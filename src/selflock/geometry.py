@@ -258,19 +258,23 @@ def plate_meshes(alpha: float, m: float):
             m * _e(math.pi / 2 - 2 * a),
         ]
     )
-    p4 = np.array(
-        [np.zeros(3), m * YHAT, np.array([-m, m, 0.0]), np.array([-m, 0.0, 0.0])]
-    )
     return (
         PlateMesh(p1, a, True),
         PlateMesh(p2, a, True),
         PlateMesh(p3, math.pi / 2, False),
-        PlateMesh(p4, math.pi / 2, False),
+        PlateMesh(_square(m), math.pi / 2, False),
     )
 
 
-def trim_corner(mesh: PlateMesh, t: float = _TRIM_MM) -> PlateMesh:
-    """Cut the vertex corner back by t mm along both adjacent edges.
+def _square(side: float) -> np.ndarray:
+    """The plate-4 square: x in [-side, 0], y in [0, side], vertex first."""
+    return np.array(
+        [[0.0, 0.0, 0.0], [0.0, side, 0.0], [-side, side, 0.0], [-side, 0.0, 0.0]]
+    )
+
+
+def trim_corner(mesh: PlateMesh) -> PlateMesh:
+    """Cut the vertex corner back by 2 mm along both adjacent edges.
 
     Collision meshes use this to keep the always-touching shared corner of
     the plates from registering as contact; it never enters kinematics.
@@ -279,10 +283,10 @@ def trim_corner(mesh: PlateMesh, t: float = _TRIM_MM) -> PlateMesh:
     e_next = v[1] - v[0]
     e_prev = v[-1] - v[0]
     ln, lp = np.linalg.norm(e_next), np.linalg.norm(e_prev)
-    if not 0.0 < t < min(ln, lp):
-        raise DomainError(f"trim t = {t!r} must lie in (0, shortest vertex edge)")
-    a = v[0] + t * e_prev / lp
-    b = v[0] + t * e_next / ln
+    if not _TRIM_MM < min(ln, lp):
+        raise DomainError(f"the {_TRIM_MM} mm trim must be shorter than both vertex edges")
+    a = v[0] + _TRIM_MM * e_prev / lp
+    b = v[0] + _TRIM_MM * e_next / ln
     return PlateMesh(np.vstack([a, b, v[1:]]), mesh.central_angle, mesh.cut)
 
 
@@ -462,17 +466,6 @@ def pad_polygons(polys) -> np.ndarray:
     )
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, with the products and differences of np.cross.
-
-    Skips np.cross's axis handling and copies, which dominate its cost on
-    the small stacks of the collision step; the result is bit-identical.
-    """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
-
-
 def _unit_rows(axes: np.ndarray) -> tuple:
     """Normalize candidate axes along the last dimension; mask degenerate ones."""
     norms = np.sqrt((axes * axes).sum(axis=-1))
@@ -488,9 +481,9 @@ def plate_axes(P: np.ndarray) -> tuple:
     axes of zero-length (padding) edges; edges is the (n, v, 3) edge stack.
     """
     edges = np.roll(P, -1, axis=1) - P
-    normal = _cross(edges[:, 0], edges[:, 1])
+    normal = np.cross(edges[:, 0], edges[:, 1])
     axes, keep = _unit_rows(
-        np.concatenate([normal[:, None, :], _cross(normal[:, None, :], edges)], axis=1)
+        np.concatenate([normal[:, None, :], np.cross(normal[:, None, :], edges)], axis=1)
     )
     return axes, keep, edges
 
@@ -509,7 +502,7 @@ def polygon_margins_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     axB, keepB, eB = plate_axes(B)
     npairs = A.shape[0]
     cross, keepC = _unit_rows(
-        _cross(eA[:, :, None, :], eB[:, None, :, :]).reshape(npairs, -1, 3)
+        np.cross(eA[:, :, None, :], eB[:, None, :, :]).reshape(npairs, -1, 3)
     )
     axes = np.concatenate([axA[:, :1], axB[:, :1], axA[:, 1:], cross, axB[:, 1:]], axis=1)
     keep = np.concatenate(

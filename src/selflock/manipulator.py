@@ -33,6 +33,7 @@ from .geometry import (
     Pose,
     UnitKinematics,
     _RowPose,
+    _square,
     pad_polygons,
     plate_axes,
     plate_axis_bounds,
@@ -82,11 +83,14 @@ class UnitSpec:
         CentralAngles.self_lock(self.alpha)
         _check_finite("m", self.m)
         if self.plate_m is not None:
-            pm = tuple(float(v) for v in self.plate_m)
-            if len(pm) != 4 or not all(0.0 < v < math.inf for v in pm):
-                raise DomainError(
-                    f"plate_m = {self.plate_m!r} needs four finite positive lengths"
-                )
+            try:
+                pm = tuple(float(v) for v in self.plate_m)
+            except (TypeError, ValueError):
+                pm = ()
+            if len(pm) != 4:
+                raise DomainError(f"plate_m = {self.plate_m!r} must hold four numbers")
+            for v in pm:
+                _check_finite("plate_m", v)
             object.__setattr__(self, "plate_m", pm)
 
     @property
@@ -518,13 +522,8 @@ class Manipulator:
                 steps = (c.rel,)
             else:
                 steps = (c.attach_parent, c.attach_child)
-                s = c.side
                 self.nodes.append(("bp", ci))
-                polys.append(
-                    np.array(
-                        [[0.0, 0.0, 0.0], [0.0, s, 0.0], [-s, s, 0.0], [-s, 0.0, 0.0]]
-                    )
-                )
+                polys.append(_square(c.side))
                 self._body.append(body)
             steps = tuple(map(_nearest_rotation, steps))
             self._links.append((c.parent, c.parent_plate, c.child, c.child_plate, steps))
@@ -764,21 +763,21 @@ def translational_link_lengths(gamma: float, d: float) -> tuple:
     return d / math.tan(gamma), d / math.cos(gamma)
 
 
-def preset_modular(units, bounding_plate_side: float = M_DEFAULT) -> ManipulatorSpec:
+def preset_modular(units) -> ManipulatorSpec:
     """Chain of units in two sub-chains at a right angle, grounded at the end.
 
     units[0] is the most distal joint (it carries the marker) and the last
-    unit is grounded on a base slab. The chain is split in half; one square
-    bounding plate joins the innermost distal unit to the outermost base
-    side unit, turning the distal sub-chain 90 degrees in plan. A single
-    unit builds a trivial grounded chain with no bounding plate.
+    unit is grounded on a base slab. The chain is split in half; one
+    bounding plate, the 25 mm plate-4 square, joins the innermost distal
+    unit to the outermost base side unit, turning the distal sub-chain 90
+    degrees in plan. A single unit builds a trivial grounded chain with no
+    bounding plate.
     """
     units = tuple(units)
     n = len(units)
     if n == 0:
         raise SpecError("modular preset needs at least one unit")
-    _check_finite("bounding_plate_side", bounding_plate_side)
-    s = bounding_plate_side
+    s = M_DEFAULT
     ndist = (n + 1) // 2
 
     # The slab sits three quarters of the chain reach below the ground

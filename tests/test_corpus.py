@@ -19,6 +19,7 @@ still hold. `python tests/test_corpus.py` prints the table below as the
 current code computes it.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,12 +29,14 @@ import numpy as np
 
 from selflock import (
     ActivationSchedule,
+    BoundingPlate,
     Configuration,
     MPF,
     ManipulatorSpec,
     Mode,
     OutputAngle,
     Phase,
+    Pose,
     SemiFlat,
     UnitSpec,
     build,
@@ -56,6 +59,29 @@ def _target(rng):
     return OutputAngle(math.radians(rng.uniform(20.0, 120.0)))
 
 
+def _modular(units, side: float) -> ManipulatorSpec:
+    """preset_modular of two or more units with a bounding plate of this side.
+
+    The preset's plate is the 25 mm square; a spec may set any side. The
+    plate, its child attachment and the base slab, which the chain's reach
+    sizes, are rebuilt here by the preset's own arithmetic.
+    """
+    spec = preset_modular(units)
+    base, *links = spec.connections
+    reach = sum(u.plate_sizes[3] for u in units) + side
+    base = dataclasses.replace(
+        base,
+        slab_side=2.0 * (reach + 25.0),
+        slab_center=(-0.5 * reach, 0.5 * units[-1].m, -0.75 * reach),
+    )
+    for k, c in enumerate(links):
+        if isinstance(c, BoundingPlate):
+            lc = units[c.child].plate_sizes[0]
+            attach = Pose(c.attach_child.r, np.array([-side, side + lc, 0.0]))
+            links[k] = dataclasses.replace(c, side=side, attach_child=attach)
+    return dataclasses.replace(spec, connections=(base, *links))
+
+
 def _chain(seed: int):
     """A modular chain of 2-16 units and a schedule of at most 20 steps a phase.
 
@@ -72,7 +98,7 @@ def _chain(seed: int):
         )
         for _ in range(n)
     )
-    spec = preset_modular(units, round(rng.uniform(15.0, 35.0), 2))
+    spec = _modular(units, round(rng.uniform(15.0, 35.0), 2))
     nphases = rng.randint(1, 3 if n > 6 else 5)
     steps_max = 6 if n > 6 else 20
     phases = []

@@ -1,6 +1,7 @@
 """Plate polygons, unit forward kinematics, and the collision predicate."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -144,15 +145,13 @@ def test_plate_meshes_validation():
 
 def test_trim_corner():
     mesh = plate_meshes(math.radians(80), 25.0)[3]
-    trimmed = trim_corner(mesh, 2.0)
+    trimmed = trim_corner(mesh)
     assert len(trimmed.vertices) == len(mesh.vertices) + 1
     assert np.linalg.norm(trimmed.vertices[0] - mesh.vertices[0]) == pytest.approx(2.0)
     assert np.linalg.norm(trimmed.vertices[1] - mesh.vertices[0]) == pytest.approx(2.0)
     assert np.allclose(trimmed.vertices[2:], mesh.vertices[1:])
     with pytest.raises(DomainError):
-        trim_corner(mesh, 0.0)
-    with pytest.raises(DomainError):
-        trim_corner(mesh, 30.0)
+        trim_corner(plate_meshes(math.radians(80), 1.5)[3])
 
 
 def test_unit_poses_basics():
@@ -572,3 +571,25 @@ def test_placed_axes_match_world_axes(state):
     expect, keep, _ = plate_axes(world)
     assert np.array_equal(manip._keep, keep)
     assert np.abs(axes - expect).max() < 1e-12
+
+
+# sha256 of the build-time axes and mask, then the kernel margins of every
+# candidate pair at the semi-flat state and one seeded state off it, of
+# modular chains of 4 and 16 units, Up and Down alternating.
+_KERNEL_SHA256 = "f47b4d44ebc053a69d638ba6b21e14ca8c268e0df16e6cd1936e4529bbf3cc44"
+
+
+def test_margin_kernel_and_build_axes_bytes_pinned():
+    rng = np.random.default_rng(7)
+    h = hashlib.sha256()
+    for n in (4, 16):
+        units = tuple(UnitSpec(math.radians(89), (UP, DOWN)[u % 2]) for u in range(n))
+        manip = build(preset_modular(units))
+        h.update(manip._local_axes.tobytes())
+        h.update(manip._keep.tobytes())
+        I, J = manip._pair_rows
+        semi = np.array(manip.semi_flat_thetas())
+        for thetas in (semi, semi + rng.uniform(-2.0, 2.0, n)):
+            P = manip._placed(thetas)[2]
+            h.update(polygon_margins_batch(P[I], P[J]).tobytes())
+    assert h.hexdigest() == _KERNEL_SHA256

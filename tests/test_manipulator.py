@@ -76,8 +76,9 @@ def test_unit_spec_validation():
         UnitSpec(math.radians(95), UP)
     with pytest.raises(DomainError):
         UnitSpec(math.radians(85), UP, -1.0)
-    with pytest.raises(DomainError):
-        UnitSpec(math.radians(85), UP, 25.0, (1.0, 2.0))
+    for bad in ((1.0, 2.0), ("x", 2.0, 3.0, 4.0), 5.0):
+        with pytest.raises(DomainError, match="^plate_m = "):
+            UnitSpec(math.radians(85), UP, 25.0, bad)
     with pytest.raises(DomainError):
         UnitSpec(math.radians(85), UP, 25.0, (1.0, -2.0, 3.0, 4.0))
     for bad in (math.nan, math.inf):
@@ -432,9 +433,6 @@ def test_preset_modular_small_chains():
     ]
     with pytest.raises(SpecError):
         preset_modular(())
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="^bounding_plate_side = "):
-            preset_modular((_unit(),), bounding_plate_side=bad)
 
 
 def test_translational_link_lengths():
@@ -1051,7 +1049,11 @@ _FINITE_SITES = (
     ),
     ("base slab_side", lambda v: Base(0, slab_side=v), "nonnegative"),
     ("d", lambda v: translational_link_lengths(GAMMA, v), "positive"),
-    ("bounding_plate_side", lambda v: preset_modular([_unit()] * 2, v), "positive"),
+    (
+        "plate_m",
+        lambda v: UnitSpec(math.radians(89), UP, 25.0, (25.0, v, 25.0, 25.0)),
+        "positive",
+    ),
     ("collision clearance", _clearance_run, "nonnegative"),
 )
 
