@@ -19,7 +19,6 @@ from .linkage import (
     DomainError,
     JointState,
     SingularityError,
-    SweepTable,
     closure_residual,
     joint_state,
     mpf_theta1,
@@ -39,7 +38,6 @@ from .pouch import (
     pouch_geometry,
 )
 from .moments import (
-    MomentCurveRow,
     mechanical_advantage,
     moment_curve,
     output_moment,
@@ -103,7 +101,6 @@ __all__ = [
     "Manipulator",
     "ManipulatorSpec",
     "Mode",
-    "MomentCurveRow",
     "MPF",
     "OutputAngle",
     "Phase",
@@ -113,7 +110,6 @@ __all__ = [
     "SemiFlat",
     "SingularityError",
     "SpecError",
-    "SweepTable",
     "Trajectory",
     "UnitPoseSet",
     "UnitSpec",

@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .linkage import Configuration, DomainError, _grid, joint_state, mpf_theta1
-from .linkage import semi_flat_theta1, theta3_of_theta1, theta4_of_theta1
-from .moments import mechanical_advantage
-from .pouch import ActuatorConditions, central_angle, input_moment, pouch_geometry
+from .linkage import Configuration, DomainError, joint_state, mpf_theta1
+from .linkage import semi_flat_theta1, sweep
+from .moments import moment_curve
+from .pouch import ActuatorConditions, pouch_geometry
 from .manipulator import (
     CLEARANCE_DEFAULT,
     GAMMA_DEFAULT,
@@ -106,14 +106,29 @@ def _write(out, text: str) -> None:
 
 
 def _deg_grid(min_deg: float, max_deg: float, steps: int) -> np.ndarray:
+    """The uniform, endpoint-inclusive grid of steps values from min_deg to max_deg.
+
+    The one grid rule of the sweep and moment tables: steps >= 2 and
+    -180 < min_deg < max_deg < 180.
+    """
+    if steps < 2:
+        raise DomainError(f"steps = {steps!r} must be at least 2")
+    if not min_deg < max_deg:
+        raise DomainError(
+            f"grid start {min_deg!r} must be strictly below its end {max_deg!r}"
+        )
+    for v in (min_deg, max_deg):
+        if not -180.0 < v < 180.0:
+            raise DomainError(f"grid bound {v!r} outside (-180, 180)")
     try:
-        return _grid(min_deg, max_deg, steps, 180.0)
+        return np.linspace(min_deg, max_deg, steps)
     except MemoryError as exc:
         raise DomainError(f"--steps {steps} needs more memory than is available") from exc
 
 
-def _write_table(args, columns, rows, meta: dict) -> None:
-    """Export rows as CSV (9 significant digits) or JSON (meta, then rows)."""
+def _write_table(args, columns, table, meta: dict) -> None:
+    """Export an (n, k) table as CSV (9 significant digits) or JSON (meta, then rows)."""
+    rows = np.asarray(table).tolist()
     if args.format == "csv":
         text = _csv(columns, rows)
     else:
@@ -127,12 +142,12 @@ def cmd_sweep(args) -> int:
     alpha = math.radians(args.alpha_deg)
     config = Configuration(args.config)
     grid = _deg_grid(args.min_deg, args.max_deg, args.steps)
-    theta1 = np.radians(grid)
-    t4 = np.degrees(theta4_of_theta1(alpha, theta1, config))
-    t3 = np.degrees(theta3_of_theta1(alpha, theta1, config))
-    rows = np.column_stack((grid, t4, t3, t4)).tolist()
+    table = np.degrees(sweep(alpha, config, np.radians(grid)))
+    # The theta1 column is the drawn grid itself: degrees(radians(g)) can
+    # differ from g in the last bit.
+    table[:, 0] = grid
     meta = {"alpha_deg": _r9(args.alpha_deg), "config": config.value}
-    _write_table(args, _SWEEP_COLUMNS, rows, meta)
+    _write_table(args, _SWEEP_COLUMNS, table, meta)
     return 0
 
 
@@ -142,17 +157,15 @@ def cmd_moment(args) -> int:
     geom = pouch_geometry(args.m_mm, alpha)
     cond = ActuatorConditions(args.pressure_pa)
     grid = _deg_grid(args.min_deg, args.max_deg, args.steps)
-    theta1 = np.radians(grid)
-    mi = input_moment(geom, cond, theta1)
-    ma = mechanical_advantage(alpha, theta1, config)
-    rows = np.column_stack((grid, central_angle(theta1), mi, ma, ma * mi)).tolist()
+    table = moment_curve(alpha, config, geom, cond, np.radians(grid))
+    table[:, 0] = grid
     meta = {
         "alpha_deg": _r9(args.alpha_deg),
         "config": config.value,
         "pressure_pa": _r9(args.pressure_pa),
         "m_mm": _r9(args.m_mm),
     }
-    _write_table(args, _MOMENT_COLUMNS, rows, meta)
+    _write_table(args, _MOMENT_COLUMNS, table, meta)
     return 0
 
 

@@ -102,21 +102,6 @@ class JointState:
     config: Configuration
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Joint states sampled on a uniform theta1 grid."""
-
-    alpha: float
-    config: Configuration
-    rows: tuple
-
-    def as_array(self) -> np.ndarray:
-        """Rows as an (n, 4) array of theta1..theta4 in radians."""
-        return np.array(
-            [(r.theta1, r.theta2, r.theta3, r.theta4) for r in self.rows]
-        )
-
-
 def closure_residual(angles: CentralAngles, theta1, theta4):
     """Spherical loop-closure function of the four-plate vertex.
 
@@ -385,35 +370,12 @@ def semi_flat_theta1(alpha: float, config: Configuration) -> float:
     return 2.0 * math.asin(math.tan(0.5 * alpha) * math.sqrt(c / (2.0 - c)))
 
 
-def _grid(lo: float, hi: float, steps: int, bound: float) -> np.ndarray:
-    """The uniform, endpoint-inclusive grid of steps values from lo to hi.
+def sweep(alpha: float, config: Configuration, theta1) -> np.ndarray:
+    """The joint-angle table over a theta1 array, an (n, 4) array in radians.
 
-    The one grid rule of every table: steps >= 2 and -bound < lo < hi < bound.
+    Its columns are theta1, theta2, theta3 and theta4, with theta2 equal to
+    theta4 as in joint_state; each closed form is evaluated once.
     """
-    if steps < 2:
-        raise DomainError(f"steps = {steps!r} must be at least 2")
-    if not lo < hi:
-        raise DomainError(f"grid start {lo!r} must be strictly below its end {hi!r}")
-    for v in (lo, hi):
-        if not -bound < v < bound:
-            raise DomainError(f"grid bound {v!r} outside (-{bound:g}, {bound:g})")
-    return np.linspace(lo, hi, steps)
-
-
-def sweep(
-    alpha: float,
-    config: Configuration,
-    theta1_min: float,
-    theta1_max: float,
-    steps: int,
-) -> SweepTable:
-    """Joint states on a uniform, endpoint-inclusive theta1 grid.
-
-    steps is the number of rows (at least 2); theta1_min < theta1_max and
-    both must lie in (-pi, pi).
-    """
-    grid = _grid(theta1_min, theta1_max, steps, math.pi)
-    t4 = theta4_of_theta1(alpha, grid, config)
-    t3 = theta3_of_theta1(alpha, grid, config)
-    rows = np.column_stack((grid, t4, t3, t4)).tolist()
-    return SweepTable(alpha, config, tuple(JointState(*r, config) for r in rows))
+    t4 = theta4_of_theta1(alpha, theta1, config)
+    t3 = theta3_of_theta1(alpha, theta1, config)
+    return np.column_stack((theta1, t4, t3, t4))

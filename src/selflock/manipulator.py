@@ -83,12 +83,15 @@ class UnitSpec:
         CentralAngles.self_lock(self.alpha)
         _check_finite("m", self.m)
         if self.plate_m is not None:
+            # Read as a float array, so a string or a mapping is refused
+            # rather than read character by character or key by key.
             try:
-                pm = tuple(float(v) for v in self.plate_m)
+                pm = np.asarray(self.plate_m, dtype=float)
             except (TypeError, ValueError):
-                pm = ()
-            if len(pm) != 4:
+                pm = np.empty(0)
+            if pm.shape != (4,):
                 raise DomainError(f"plate_m = {self.plate_m!r} must hold four numbers")
+            pm = tuple(pm.tolist())
             for v in pm:
                 _check_finite("plate_m", v)
             object.__setattr__(self, "plate_m", pm)
@@ -262,6 +265,11 @@ class ActivationSchedule:
         return schedule
 
 
+def _is_integer(v) -> bool:
+    """Whether v is an index or a count: an Integral that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _schedule_fault(schedule: ActivationSchedule, n: int):
     """(where, why) for the first rule schedule breaks on n units, else None.
 
@@ -269,10 +277,12 @@ def _schedule_fault(schedule: ActivationSchedule, n: int):
     run() and the schedule codec both check a schedule here, so each rule
     and its message are stated once.
     """
+    if not isinstance(schedule.mode, Mode):
+        return "mode", f"schedule mode must be a Mode, got {schedule.mode!r}"
     driven = set()
     for i, ph in enumerate(schedule.phases):
         for name, v in (("unit", ph.unit), ("steps", ph.steps)):
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            if not _is_integer(v):
                 return f"phases[{i}].{name}", f"phase {name} must be an integer, got {v!r}"
         if not 0 <= ph.unit < n:
             return f"phases[{i}].unit", f"unit {ph.unit} outside 0..{n - 1}"
@@ -435,6 +445,10 @@ def _phase_from_json(d, path: str, gamma: float) -> Phase:
 # Built manipulator
 
 
+# The unit and plate indices of a weld or a bounding plate.
+_LINK_INDICES = ("parent", "parent_plate", "child", "child_plate")
+
+
 class Manipulator:
     """Validated assembly with resolved frame chain and collision model.
 
@@ -450,6 +464,15 @@ class Manipulator:
         self.spec = spec
         self.units = spec.units
         n = len(spec.units)
+        # Every unit, plate and corner index is an integer before any range
+        # check or lookup reads it, as a spec file's are.
+        named = [(f"marker {k}", v) for k, v in zip(("unit", "plate", "corner"), spec.marker)]
+        for ci, c in enumerate(spec.connections):
+            keys = ("unit", "plate") if isinstance(c, Base) else _LINK_INDICES
+            named += [(f"connection {ci} {k}", getattr(c, k)) for k in keys]
+        for name, v in named:
+            if not _is_integer(v):
+                raise SpecError(f"{name} must be an integer, got {v!r}")
 
         bases = [c for c in spec.connections if isinstance(c, Base)]
         if len(bases) != 1:

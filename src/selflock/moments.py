@@ -8,11 +8,10 @@ and diverges where sin(theta2) vanishes (the fold-over of the coupler).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import Configuration, SingularityError, _float_or_array, _grid
+from .linkage import Configuration, SingularityError, _float_or_array
 from .linkage import theta3_of_theta1, theta4_of_theta1
 from .pouch import ActuatorConditions, PouchGeometry, central_angle, input_moment
 
@@ -53,34 +52,19 @@ def output_moment(
     return mechanical_advantage(alpha, theta1, config) * input_moment(geom, cond, theta1)
 
 
-@dataclass(frozen=True)
-class MomentCurveRow:
-    """One sampled point of the moment transmission curve."""
-
-    theta1: float
-    S: float
-    M_input: float
-    MA: float
-    M_output: float
-
-
 def moment_curve(
     alpha: float,
     config: Configuration,
     geom: PouchGeometry,
     cond: ActuatorConditions,
-    theta1_min: float,
-    theta1_max: float,
-    steps: int,
-) -> list:
-    """Moment curve rows on a uniform theta1 grid within [-pi/2, pi/2].
+    theta1,
+) -> np.ndarray:
+    """The moment table over a theta1 array within [-pi/2, pi/2], an (n, 5) array.
 
-    Every row satisfies M_output == MA * M_input exactly, since the output
-    column is formed from the other two.
+    Its columns are theta1, S, M_input, MA and M_output. Every row satisfies
+    M_output == MA * M_input exactly, since the output column is formed
+    from the other two.
     """
-    grid = _grid(theta1_min, theta1_max, steps, math.pi)
-    S = central_angle(grid)
-    mi = input_moment(geom, cond, grid)
-    ma = mechanical_advantage(alpha, grid, config)
-    rows = np.column_stack((grid, S, mi, ma, ma * mi)).tolist()
-    return [MomentCurveRow(*row) for row in rows]
+    mi = input_moment(geom, cond, theta1)
+    ma = mechanical_advantage(alpha, theta1, config)
+    return np.column_stack((theta1, central_angle(theta1), mi, ma, ma * mi))

@@ -450,28 +450,21 @@ def test_semi_flat_is_a_local_minimum(alpha_deg):
 
 
 def test_sweep_table():
-    table = sweep(math.radians(85), UP, math.radians(-30), math.radians(30), 7)
-    arr = table.as_array()
-    assert arr.shape == (7, 4)
-    assert np.all(np.diff(arr[:, 0]) > 0)
-    assert arr[0, 0] == pytest.approx(math.radians(-30))
-    assert arr[-1, 0] == pytest.approx(math.radians(30))
-    mid = arr[3]
-    assert mid[0] == pytest.approx(0.0, abs=1e-12)
-    assert mid[3] == pytest.approx(math.pi / 2, abs=1e-12)
-    for row in table.rows:
-        assert row.config is UP
+    theta1 = np.linspace(math.radians(-30), math.radians(30), 7)
+    table = sweep(math.radians(85), UP, theta1)
+    assert table.shape == (7, 4)
+    # Columns theta1, theta2, theta3, theta4; theta2 is theta4.
+    assert np.array_equal(table[:, 0], theta1)
+    assert np.array_equal(table[:, 1], table[:, 3])
+    for row, t in zip(table.tolist(), theta1.tolist()):
+        st = joint_state(math.radians(85), t, UP)
+        assert row == [st.theta1, st.theta2, st.theta3, st.theta4]
+    assert table[3, 0] == 0.0
+    assert table[3, 3] == math.pi / 2
 
 
 def test_sweep_validation():
-    alpha = math.radians(85)
-    # The grid rule that moment_curve and the CLI tables share.
-    for lo, hi, steps, message in (
-        (0.0, 1.0, 1, "steps = 1 must be at least 2"),
-        (1.0, 1.0, 5, "grid start 1.0 must be strictly below its end 1.0"),
-        (-4.0, 1.0, 5, "grid bound -4.0 outside (-3.14159, 3.14159)"),
-        (-math.pi, 1.0, 5, f"grid bound {-math.pi!r} outside (-3.14159, 3.14159)"),
-        (-1.0, math.pi, 5, f"grid bound {math.pi!r} outside (-3.14159, 3.14159)"),
-    ):
+    for alpha in (0.0, math.pi / 2 + 1e-9, math.nan):
+        message = f"alpha = {alpha!r} outside (0, pi/2]"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            sweep(alpha, UP, lo, hi, steps)
+            sweep(alpha, UP, np.zeros(3))

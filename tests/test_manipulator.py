@@ -76,7 +76,7 @@ def test_unit_spec_validation():
         UnitSpec(math.radians(95), UP)
     with pytest.raises(DomainError):
         UnitSpec(math.radians(85), UP, -1.0)
-    for bad in ((1.0, 2.0), ("x", 2.0, 3.0, 4.0), 5.0):
+    for bad in ((1.0, 2.0), ("x", 2.0, 3.0, 4.0), 5.0, "9999", dict.fromkeys("abcd", 1.0)):
         with pytest.raises(DomainError, match="^plate_m = "):
             UnitSpec(math.radians(85), UP, 25.0, bad)
     with pytest.raises(DomainError):
@@ -218,6 +218,38 @@ def test_build_validations():
         build(ManipulatorSpec(units2, (Base(0), _weld(0, 1)), (2, 3, 2)))
     with pytest.raises(SpecError):  # base out of range
         build(ManipulatorSpec(units2, (Base(7), _weld(0, 1)), (0, 3, 2)))
+
+
+def _run_mode(mode):
+    manip = build(preset_rotational(math.radians(89), math.radians(89)))
+    run(manip, ActivationSchedule((Phase(0, MPF(GAMMA), 3),), mode))
+
+
+def _build_two(conns, marker=(1, 3, 2)):
+    build(ManipulatorSpec((_unit(), _unit()), conns, marker))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _build_two((Base(0), dataclasses.replace(_weld(0, 1), parent_plate=3.0))),
+         "connection 1 parent_plate must be an integer, got 3.0"),
+        (lambda: _build_two((Base(0), dataclasses.replace(_weld(0, 1), parent=0.0))),
+         "connection 1 parent must be an integer, got 0.0"),
+        (lambda: _build_two((Base(True), _weld(0, 1))),
+         "connection 0 unit must be an integer, got True"),
+        (lambda: _build_two((Base(0), _weld(0, 1)), (1, 3.0, 2)),
+         "marker plate must be an integer, got 3.0"),
+        (lambda: _run_mode("simultaneous"),
+         "schedule mode must be a Mode, got 'simultaneous'"),
+    ],
+    ids=["weld-plate", "weld-parent", "base-unit-bool", "marker-plate", "mode"],
+)
+def test_library_specs_take_the_spec_file_integer_rule(call, message):
+    # A spec or schedule built in code is refused as a spec file's would
+    # be, not with the TypeError or AttributeError of a later lookup.
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _rejects_graph(n, base, links):

@@ -75,30 +75,28 @@ def test_moment_curve_rows():
     alpha = math.radians(85)
     g = pouch_geometry(25.0, alpha)
     c = ActuatorConditions(10000.0)
-    rows = moment_curve(alpha, UP, g, c, math.radians(-90), math.radians(90), 19)
-    assert len(rows) == 19
-    assert rows[0].theta1 == pytest.approx(math.radians(-90))
-    assert rows[-1].theta1 == pytest.approx(math.radians(90))
-    for row in rows:
-        assert row.M_output == row.MA * row.M_input
-        assert row.S == central_angle(row.theta1)
-        assert row.M_input == input_moment(g, c, row.theta1)
+    theta1 = np.linspace(math.radians(-90), math.radians(90), 19)
+    table = moment_curve(alpha, UP, g, c, theta1)
+    assert table.shape == (19, 5)
+    # Columns theta1, S, M_input, MA, M_output.
+    assert np.array_equal(table[:, 0], theta1)
+    for t1, S, m_in, ma, m_out in table.tolist():
+        assert m_out == ma * m_in
+        assert S == central_angle(t1)
+        assert m_in == input_moment(g, c, t1)
+        assert ma == mechanical_advantage(alpha, t1, UP)
 
 
 def test_moment_curve_validation():
-    alpha = math.radians(85)
-    g = pouch_geometry(25.0, alpha)
+    g = pouch_geometry(25.0, math.radians(89))
     c = ActuatorConditions(10000.0)
-    # The grid rule that sweep and the CLI tables share.
-    for lo, hi, steps, message in (
-        (0.0, 1.0, 1, "steps = 1 must be at least 2"),
-        (1.0, 0.0, 5, "grid start 1.0 must be strictly below its end 0.0"),
-        (1.0, 1.0, 5, "grid start 1.0 must be strictly below its end 1.0"),
-        (-math.pi, 1.0, 5, f"grid bound {-math.pi!r} outside (-3.14159, 3.14159)"),
-        (-1.0, math.pi, 5, f"grid bound {math.pi!r} outside (-3.14159, 3.14159)"),
-    ):
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            moment_curve(alpha, UP, g, c, lo, hi, steps)
+    bad = math.radians(-100)
+    message = f"theta1 = {bad!r} outside the actuation range [-pi/2, pi/2]"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        moment_curve(math.radians(89), UP, g, c, np.array([bad, 0.0, 0.1]))
+    # At the flat-foldable limit theta2 vanishes once theta1 leaves 0.
+    with pytest.raises(SingularityError, match=r"^sin\(theta2\) = .* at theta1 = 1\.0;"):
+        moment_curve(math.pi / 2, UP, g, c, np.array([0.0, 1.0]))
 
 
 # The five closed forms that take a float or an ndarray theta1, each as a
