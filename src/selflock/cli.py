@@ -152,16 +152,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_moment(args) -> int:
-    alpha = math.radians(args.alpha_deg)
-    config = Configuration(args.config)
-    geom = pouch_geometry(args.m_mm, alpha)
+    geom = pouch_geometry(args.m_mm, math.radians(args.alpha_deg))
     cond = ActuatorConditions(args.pressure_pa)
     grid = _deg_grid(args.min_deg, args.max_deg, args.steps)
-    table = moment_curve(alpha, config, geom, cond, np.radians(grid))
+    table = moment_curve(geom, cond, np.radians(grid))
     table[:, 0] = grid
     meta = {
         "alpha_deg": _r9(args.alpha_deg),
-        "config": config.value,
+        "config": args.config,
         "pressure_pa": _r9(args.pressure_pa),
         "m_mm": _r9(args.m_mm),
     }
@@ -188,7 +186,7 @@ def cmd_states(args) -> int:
         "config": config.value,
         "gamma_deg": _r9(args.gamma_deg),
         "semi_flat": state_dict(semi_flat_theta1(alpha, config)),
-        "mpf": state_dict(mpf_theta1(alpha, gamma, config)),
+        "mpf": state_dict(mpf_theta1(alpha, gamma)),
     }
     sys.stdout.write(json.dumps(out, indent=2) + "\n")
     return 0

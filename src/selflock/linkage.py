@@ -340,16 +340,16 @@ def oracle_roots(angles: CentralAngles, theta1: float) -> list:
     return dedup
 
 
-def mpf_theta1(alpha: float, gamma: float, config: Configuration) -> float:
+def mpf_theta1(alpha: float, gamma: float) -> float:
     """theta1 of the maximum-possible-fold state, where |theta4| = gamma.
 
-    gamma is the fold target measured as a positive magnitude; the branch
-    sign is applied internally. Accepts gamma up to and including pi/2
-    (gamma = pi/2 is the theta1 = 0 state).
+    gamma is the fold target measured as a positive magnitude. The branches
+    share theta1, so the result takes no branch. Accepts gamma up to and
+    including pi/2 (gamma = pi/2 is the theta1 = 0 state).
     """
     if not 0.0 < gamma <= math.pi / 2:
         raise DomainError(f"gamma = {gamma!r} outside (0, pi/2]")
-    return theta1_of_theta4(alpha, config.sign * gamma, config)
+    return theta1_of_theta4(alpha, gamma, Configuration.UP)
 
 
 def semi_flat_theta1(alpha: float, config: Configuration) -> float:

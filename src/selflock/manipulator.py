@@ -81,6 +81,8 @@ class UnitSpec:
 
     def __post_init__(self):
         CentralAngles.self_lock(self.alpha)
+        if not isinstance(self.config, Configuration):
+            raise SpecError(f"unit config must be a Configuration, got {self.config!r}")
         _check_finite("m", self.m)
         if self.plate_m is not None:
             # Read as a float array, so a string or a mapping is refused
@@ -306,7 +308,7 @@ def _schedule_fault(schedule: ActivationSchedule, n: int):
 def _target_theta1(target, unit: UnitSpec) -> float:
     alpha, config = unit.alpha, unit.config
     if isinstance(target, MPF):
-        return mpf_theta1(alpha, target.gamma, config)
+        return mpf_theta1(alpha, target.gamma)
     if isinstance(target, SemiFlat):
         return semi_flat_theta1(alpha, config)
     return theta1_of_theta4(alpha, config.sign * target.angle, config)
@@ -464,6 +466,8 @@ class Manipulator:
         self.spec = spec
         self.units = spec.units
         n = len(spec.units)
+        if not isinstance(spec.marker, (tuple, list)) or len(spec.marker) != 3:
+            raise SpecError(f"marker must be (unit, plate, corner), got {spec.marker!r}")
         # Every unit, plate and corner index is an integer before any range
         # check or lookup reads it, as a spec file's are.
         named = [(f"marker {k}", v) for k, v in zip(("unit", "plate", "corner"), spec.marker)]

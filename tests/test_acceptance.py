@@ -99,7 +99,7 @@ def test_ac03_trivial_state_identities():
         )
         worst = max(
             worst,
-            abs(mechanical_advantage(alpha, 0.0, UP) - 2.0 * math.cos(alpha)),
+            abs(mechanical_advantage(alpha, 0.0) - 2.0 * math.cos(alpha)),
         )
     ok = worst < 1e-10
     _verdict(
@@ -130,13 +130,13 @@ def test_ac05_moment_curve_shape():
         alpha = math.radians(a)
         geom = pouch_geometry(25.0, alpha)
         mi = [input_moment(geom, cond, math.radians(t)) for t in range(0, 91)]
-        ma = [mechanical_advantage(alpha, math.radians(t), UP) for t in range(0, 91)]
+        ma = [mechanical_advantage(alpha, math.radians(t)) for t in range(0, 91)]
         even_mi = all(
             abs(input_moment(geom, cond, math.radians(-t)) - mi[t]) <= 1e-12 * mi[t]
             for t in range(1, 91)
         )
         even_ma = all(
-            abs(mechanical_advantage(alpha, math.radians(-t), UP) - ma[t])
+            abs(mechanical_advantage(alpha, math.radians(-t)) - ma[t])
             <= 1e-9 * ma[t]
             for t in range(1, 91)
         )

@@ -354,7 +354,7 @@ def test_mpf_marker_independent_of_alpha():
     gamma = math.radians(36.5)
     marks = []
     for a in (80, 85, 89):
-        t1 = mpf_theta1(math.radians(a), gamma, UP)
+        t1 = mpf_theta1(math.radians(a), gamma)
         marks.append(marker_position(unit_poses(math.radians(a), t1, UP)))
     expect = rotation_about(YHAT, gamma) @ np.array([-25.0, 25.0, 0.0])
     for mk in marks:

@@ -378,29 +378,29 @@ def test_theta1_of_theta4_branch_domain():
 
 def test_mpf_frozen_values():
     g = math.radians(36.5)
-    assert math.degrees(mpf_theta1(math.radians(89), g, UP)) == pytest.approx(
+    assert math.degrees(mpf_theta1(math.radians(89), g)) == pytest.approx(
         2.702206669484808, abs=1e-9
     )
-    assert math.degrees(mpf_theta1(math.radians(85), g, UP)) == pytest.approx(
+    assert math.degrees(mpf_theta1(math.radians(85), g)) == pytest.approx(
         13.435177025302762, abs=1e-9
     )
-    assert math.degrees(mpf_theta1(math.radians(80), g, UP)) == pytest.approx(
+    assert math.degrees(mpf_theta1(math.radians(80), g)) == pytest.approx(
         26.413485546235176, abs=1e-9
     )
     # gamma = 90 degrees is the theta1 = 0 state.
-    assert mpf_theta1(math.radians(89), math.pi / 2, UP) == pytest.approx(
+    assert mpf_theta1(math.radians(89), math.pi / 2) == pytest.approx(
         0.0, abs=1e-12
     )
     with pytest.raises(DomainError):
-        mpf_theta1(math.radians(89), 0.0, UP)
+        mpf_theta1(math.radians(89), 0.0)
     with pytest.raises(DomainError):
-        mpf_theta1(math.radians(89), math.pi / 2 + 0.01, UP)
+        mpf_theta1(math.radians(89), math.pi / 2 + 0.01)
 
 
 def test_mpf_state_reaches_gamma():
     for a in (70, 80, 89):
         for g in (20, 36.5, 60):
-            t1 = mpf_theta1(math.radians(a), math.radians(g), UP)
+            t1 = mpf_theta1(math.radians(a), math.radians(g))
             t4 = theta4_of_theta1(math.radians(a), t1, UP)
             assert t4 == pytest.approx(math.radians(g), abs=1e-9)
 

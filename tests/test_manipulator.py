@@ -242,12 +242,27 @@ def _build_two(conns, marker=(1, 3, 2)):
          "marker plate must be an integer, got 3.0"),
         (lambda: _run_mode("simultaneous"),
          "schedule mode must be a Mode, got 'simultaneous'"),
+        (lambda: UnitSpec(math.radians(80), "down"),
+         "unit config must be a Configuration, got 'down'"),
+        (lambda: UnitSpec(math.radians(80), None),
+         "unit config must be a Configuration, got None"),
+        (lambda: _build_two((Base(0), _weld(0, 1)), (0, 3)),
+         "marker must be (unit, plate, corner), got (0, 3)"),
+        (lambda: _build_two((Base(0), _weld(0, 1)), (0, 3, 2, 1)),
+         "marker must be (unit, plate, corner), got (0, 3, 2, 1)"),
+        (lambda: _build_two((Base(0), _weld(0, 1)), 5),
+         "marker must be (unit, plate, corner), got 5"),
+        (lambda: _build_two((Base(0), _weld(0, 1)), None),
+         "marker must be (unit, plate, corner), got None"),
     ],
-    ids=["weld-plate", "weld-parent", "base-unit-bool", "marker-plate", "mode"],
+    ids=["weld-plate", "weld-parent", "base-unit-bool", "marker-plate", "mode",
+         "config-str", "config-none", "marker-short", "marker-long", "marker-int",
+         "marker-none"],
 )
 def test_library_specs_take_the_spec_file_integer_rule(call, message):
     # A spec or schedule built in code is refused as a spec file's would
-    # be, not with the TypeError or AttributeError of a later lookup.
+    # be, not with the TypeError, ValueError or AttributeError of a later
+    # lookup.
     with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -668,7 +683,7 @@ def test_broad_phase_decision_matches_full_kernel(state):
     manip = build(preset_modular(tuple(_unit(a) for a in alphas)))
     start = manip.semi_flat_thetas()
     thetas = [
-        s + f * (mpf_theta1(u.alpha, GAMMA, u.config) - s)
+        s + f * (mpf_theta1(u.alpha, GAMMA) - s)
         for s, f, u in zip(start, fracs, manip.units)
     ]
     world = manip.world_vertices(thetas)

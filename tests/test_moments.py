@@ -15,10 +15,13 @@ from selflock import (
     SingularityError,
     central_angle,
     input_moment,
+    joint_state,
     mechanical_advantage,
     moment_curve,
+    mpf_theta1,
     output_moment,
     pouch_geometry,
+    theta1_of_theta4,
     theta3_of_theta1,
     theta4_of_theta1,
 )
@@ -28,7 +31,7 @@ DOWN = Configuration.DOWN
 
 
 def test_mechanical_advantage_frozen():
-    assert mechanical_advantage(math.radians(80), math.radians(90), UP) == (
+    assert mechanical_advantage(math.radians(80), math.radians(90)) == (
         pytest.approx(5.932418660810562, abs=1e-12)
     )
 
@@ -36,39 +39,49 @@ def test_mechanical_advantage_frozen():
 def test_mechanical_advantage_at_zero_is_2cos_alpha():
     for a in (61, 70, 80, 85, 89):
         alpha = math.radians(a)
-        got = mechanical_advantage(alpha, 0.0, UP)
+        got = mechanical_advantage(alpha, 0.0)
         assert abs(got - 2.0 * math.cos(alpha)) < 1e-10
 
 
-def test_mechanical_advantage_branch_and_parity():
-    alpha = math.radians(85)
-    for t in (0.3, 1.0, 2.0):
-        up = mechanical_advantage(alpha, t, UP)
-        assert mechanical_advantage(alpha, t, DOWN) == pytest.approx(up, rel=1e-12)
-        assert mechanical_advantage(alpha, -t, UP) == pytest.approx(up, rel=1e-12)
+# Below 89.9 degrees sin(theta2) stays far above the singular floor for
+# |theta1| <= 3.
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(math.radians(45), math.radians(89.9), exclude_min=True),
+    t=st.floats(-3.0, 3.0),
+    gamma=st.floats(0.0, math.pi / 2, exclude_min=True),
+    config=st.sampled_from((UP, DOWN)),
+)
+def test_mechanical_advantage_branch_and_parity(alpha, t, gamma, config):
+    # MA and the MPF input fold take no branch: each is, to the bit, its
+    # formula on either branch's joint state.
+    js = joint_state(alpha, t, config)
+    want = abs(np.sin(js.theta3)) / (math.sin(alpha) * abs(np.sin(js.theta2)))
+    assert mechanical_advantage(alpha, t) == want
+    assert mpf_theta1(alpha, gamma) == theta1_of_theta4(alpha, config.sign * gamma, config)
+    assert mechanical_advantage(alpha, -t) == pytest.approx(want, rel=1e-12)
 
 
 def test_mechanical_advantage_minimized_at_zero():
     alpha = math.radians(80)
-    base = mechanical_advantage(alpha, 0.0, UP)
+    base = mechanical_advantage(alpha, 0.0)
     for t in range(1, 91):
-        assert mechanical_advantage(alpha, math.radians(t), UP) > base
+        assert mechanical_advantage(alpha, math.radians(t)) > base
 
 
 def test_singularity_raises():
     # sin(theta2) vanishes at the fold-over point theta1 -> pi.
     with pytest.raises(SingularityError):
-        mechanical_advantage(math.radians(89), math.pi - 1e-11, UP)
+        mechanical_advantage(math.radians(89), math.pi - 1e-11)
     assert issubclass(SingularityError, DomainError)
 
 
 def test_output_moment_frozen_and_product():
     g = pouch_geometry(25.0, math.radians(89))
     c = ActuatorConditions(10000.0)
-    alpha = math.radians(89)
-    got = output_moment(g, c, alpha, 0.0, UP)
+    got = output_moment(g, c, 0.0)
     assert got == pytest.approx(0.005577667603363424, abs=1e-15)
-    assert got == mechanical_advantage(alpha, 0.0, UP) * input_moment(g, c, 0.0)
+    assert got == mechanical_advantage(math.radians(89), 0.0) * input_moment(g, c, 0.0)
 
 
 def test_moment_curve_rows():
@@ -76,7 +89,7 @@ def test_moment_curve_rows():
     g = pouch_geometry(25.0, alpha)
     c = ActuatorConditions(10000.0)
     theta1 = np.linspace(math.radians(-90), math.radians(90), 19)
-    table = moment_curve(alpha, UP, g, c, theta1)
+    table = moment_curve(g, c, theta1)
     assert table.shape == (19, 5)
     # Columns theta1, S, M_input, MA, M_output.
     assert np.array_equal(table[:, 0], theta1)
@@ -84,7 +97,7 @@ def test_moment_curve_rows():
         assert m_out == ma * m_in
         assert S == central_angle(t1)
         assert m_in == input_moment(g, c, t1)
-        assert ma == mechanical_advantage(alpha, t1, UP)
+        assert ma == mechanical_advantage(alpha, t1)
 
 
 def test_moment_curve_validation():
@@ -93,10 +106,10 @@ def test_moment_curve_validation():
     bad = math.radians(-100)
     message = f"theta1 = {bad!r} outside the actuation range [-pi/2, pi/2]"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        moment_curve(math.radians(89), UP, g, c, np.array([bad, 0.0, 0.1]))
+        moment_curve(g, c, np.array([bad, 0.0, 0.1]))
     # At the flat-foldable limit theta2 vanishes once theta1 leaves 0.
     with pytest.raises(SingularityError, match=r"^sin\(theta2\) = .* at theta1 = 1\.0;"):
-        moment_curve(math.pi / 2, UP, g, c, np.array([0.0, 1.0]))
+        moment_curve(pouch_geometry(25.0, math.pi / 2 - 1e-13), c, np.array([0.0, 1.0]))
 
 
 # The five closed forms that take a float or an ndarray theta1, each as a
@@ -112,7 +125,7 @@ _ARRAY_FORMS = {
         ),
         math.pi / 2,
     ),
-    "mechanical_advantage": (mechanical_advantage, math.pi),
+    "mechanical_advantage": (lambda a, t, cfg: mechanical_advantage(a, t), math.pi),
 }
 # An element outside the domain, for the forms that have one.
 _OUTSIDE = {
