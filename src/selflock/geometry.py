@@ -26,7 +26,7 @@ from .linkage import (
     Configuration,
     DomainError,
     JointState,
-    _check_finite,
+    _check_length,
     theta3_up,
     theta4_up,
 )
@@ -237,7 +237,7 @@ def plate_meshes(alpha: float, m: float):
     grounded plate's u41 edge.
     """
     CentralAngles.self_lock(alpha)
-    _check_finite("m", m)
+    _check_length("m", m)
     a = alpha
     cs = m / math.sin(a)
     r2 = m * math.sqrt(2.0)

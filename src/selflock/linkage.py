@@ -167,6 +167,21 @@ def _check_finite(name: str, value: float, nonnegative: bool = False) -> None:
         raise DomainError(f"{name} = {value!r} must be finite and {sign}")
 
 
+# The upper end of every length, size, clearance and spec translation, in
+# mm. A collision margin is trusted to within 1e-12 of the largest
+# coordinate (manipulator._rounding_slack), about 1e-6 mm at this size,
+# far below any clearance worth setting; a length near the float range
+# would overflow the collision kernel's products instead.
+_MAX_LENGTH_MM = 1e6
+
+
+def _check_length(name: str, value: float, nonnegative: bool = False) -> None:
+    """_check_finite's rule for a length, which is also at most _MAX_LENGTH_MM."""
+    _check_finite(name, value, nonnegative)
+    if value > _MAX_LENGTH_MM:
+        raise DomainError(f"{name} = {value!r} must be at most {_MAX_LENGTH_MM:g} mm")
+
+
 def theta4_of_theta1(alpha: float, theta1, config: Configuration):
     """Output fold angle as a closed form of the input fold angle.
 

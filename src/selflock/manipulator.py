@@ -45,7 +45,8 @@ from .linkage import (
     CentralAngles,
     Configuration,
     DomainError,
-    _check_finite,
+    _MAX_LENGTH_MM,
+    _check_length,
     mpf_theta1,
     semi_flat_theta1,
     theta1_of_theta4,
@@ -83,7 +84,7 @@ class UnitSpec:
         CentralAngles.self_lock(self.alpha)
         if not isinstance(self.config, Configuration):
             raise SpecError(f"unit config must be a Configuration, got {self.config!r}")
-        _check_finite("m", self.m)
+        _check_length("m", self.m)
         if self.plate_m is not None:
             # Read as a float array, so a string or a mapping is refused
             # rather than read character by character or key by key.
@@ -95,7 +96,7 @@ class UnitSpec:
                 raise DomainError(f"plate_m = {self.plate_m!r} must hold four numbers")
             pm = tuple(pm.tolist())
             for v in pm:
-                _check_finite("plate_m", v)
+                _check_length("plate_m", v)
             object.__setattr__(self, "plate_m", pm)
 
     @property
@@ -139,7 +140,7 @@ class BoundingPlate:
     attach_child: Pose
 
     def __post_init__(self):
-        _check_finite("bounding plate side", self.side)
+        _check_length("bounding plate side", self.side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +160,7 @@ class Base:
 
     def __post_init__(self):
         # 0 means no slab.
-        _check_finite("base slab_side", self.slab_side, nonnegative=True)
+        _check_length("base slab_side", self.slab_side, nonnegative=True)
         center = np.asarray(self.slab_center, dtype=float)
         if center.shape != (3,) or not np.isfinite(center).all():
             raise DomainError(
@@ -461,6 +462,13 @@ class Manipulator:
     """
 
     def __init__(self, spec: ManipulatorSpec):
+        for part in ("units", "connections"):
+            v = getattr(spec, part)
+            if not isinstance(v, (tuple, list)):
+                raise SpecError(f"spec {part} is a {type(v).__name__}, not a tuple or a list")
+        for u, unit in enumerate(spec.units):
+            if not isinstance(unit, UnitSpec):
+                raise SpecError(f"unit {u} is a {type(unit).__name__}, not a UnitSpec")
         if len(spec.units) == 0:
             raise SpecError("manipulator needs at least one unit")
         self.spec = spec
@@ -468,22 +476,26 @@ class Manipulator:
         n = len(spec.units)
         if not isinstance(spec.marker, (tuple, list)) or len(spec.marker) != 3:
             raise SpecError(f"marker must be (unit, plate, corner), got {spec.marker!r}")
-        # Every unit, plate and corner index is an integer before any range
-        # check or lookup reads it, as a spec file's are.
+        # Every index is an integer inside what it counts, as a spec file's
+        # are, before any lookup reads it: a plate or corner counts 4, a unit n.
         named = [(f"marker {k}", v) for k, v in zip(("unit", "plate", "corner"), spec.marker)]
         for ci, c in enumerate(spec.connections):
+            if not isinstance(c, (Base, Weld, BoundingPlate)):
+                kind = type(c).__name__
+                raise SpecError(f"connection {ci} is a {kind}, not a Base, Weld or BoundingPlate")
             keys = ("unit", "plate") if isinstance(c, Base) else _LINK_INDICES
             named += [(f"connection {ci} {k}", getattr(c, k)) for k in keys]
         for name, v in named:
             if not _is_integer(v):
                 raise SpecError(f"{name} must be an integer, got {v!r}")
+            count = 4 if name.endswith(("plate", "corner")) else n
+            if not 0 <= v < count:
+                raise SpecError(f"{name} {v} outside 0..{count - 1}")
 
         bases = [c for c in spec.connections if isinstance(c, Base)]
         if len(bases) != 1:
             raise SpecError(f"need exactly one base connection, got {len(bases)}")
         self.base = bases[0]
-        if not 0 <= self.base.unit < n or not 0 <= self.base.plate <= 3:
-            raise SpecError("base connection references an invalid unit or plate")
 
         # Children per parent unit as (connection index, connection).
         children = {}
@@ -491,12 +503,6 @@ class Manipulator:
         for ci, c in enumerate(spec.connections):
             if isinstance(c, Base):
                 continue
-            for idx, label in ((c.parent, "parent"), (c.child, "child")):
-                if not 0 <= idx < n:
-                    raise SpecError(f"connection {label} unit {idx} out of range")
-            for pl in (c.parent_plate, c.child_plate):
-                if not 0 <= pl <= 3:
-                    raise SpecError(f"connection plate index {pl} out of range")
             if c.child == c.parent:
                 raise SpecError("connection joins a unit to itself")
             if c.child in has_parent:
@@ -520,9 +526,22 @@ class Manipulator:
             u = min(u for u in range(n) if u not in reached)
             raise SpecError(f"unit {u} is not connected to the base")
 
+        # Every translation the spec places keeps to the length range too;
+        # Pose checks only its rotation.
+        for ci, c in enumerate(spec.connections):
+            poses = [f.name for f in fields(c) if f.type == "Pose"]
+            places = [(f"{name} t_mm", getattr(c, name).t) for name in poses]
+            if isinstance(c, Base):
+                places.append(("slab_center", c.slab_center))
+            for name, t in places:
+                t = np.asarray(t, dtype=float)
+                if not np.abs(t).max() <= _MAX_LENGTH_MM:
+                    raise DomainError(
+                        f"connection {ci} {name} = {t.tolist()} must lie within "
+                        f"+-{_MAX_LENGTH_MM:g} mm"
+                    )
+
         mu, mp, mc = spec.marker
-        if not (0 <= mu < n and 0 <= mp <= 3 and 0 <= mc <= 3):
-            raise SpecError(f"marker {spec.marker!r} does not resolve")
 
         # Collision nodes and their local polygons: ("p", unit, plate) the
         # plate trimmed at the shared corner, at row 4 * unit + plate; then
@@ -786,7 +805,7 @@ def translational_link_lengths(gamma: float, d: float) -> tuple:
         raise DomainError(
             f"gamma = {gamma!r} outside (0, pi/2); the zigzag degenerates"
         )
-    _check_finite("d", d)
+    _check_length("d", d)
     return d / math.tan(gamma), d / math.cos(gamma)
 
 
@@ -944,7 +963,7 @@ def run(
     """
     # A NaN or infinite clearance would leave no pair watched, so no step
     # would ever be checked.
-    _check_finite("collision clearance", collision_clearance, nonnegative=True)
+    _check_length("collision clearance", collision_clearance, nonnegative=True)
     units = manipulator.units
     fault = _schedule_fault(schedule, len(units))
     if fault:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import CentralAngles, DomainError, _check_finite, _float_or_array
+from .linkage import CentralAngles, DomainError, _check_finite, _check_length, _float_or_array
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def pouch_geometry(m: float, alpha: float) -> PouchGeometry:
     Valid for alpha strictly between 45 and 90 degrees; at 45 degrees the
     cut consumes the whole plate and the pouch side Lp reaches zero.
     """
-    _check_finite("m", m)
+    _check_length("m", m)
     CentralAngles.self_lock(alpha)
     L1 = m / math.tan(alpha)
     Lp = (m - L1) / math.sin(alpha)

@@ -254,10 +254,32 @@ def _build_two(conns, marker=(1, 3, 2)):
          "marker must be (unit, plate, corner), got 5"),
         (lambda: _build_two((Base(0), _weld(0, 1)), None),
          "marker must be (unit, plate, corner), got None"),
+        (lambda: _build_two((Base(7), _weld(0, 1))),
+         "connection 0 unit 7 outside 0..1"),
+        (lambda: _build_two((Base(0), _weld(0, 5))),
+         "connection 1 child 5 outside 0..1"),
+        (lambda: _build_two((Base(0), dataclasses.replace(_weld(0, 1), parent_plate=4))),
+         "connection 1 parent_plate 4 outside 0..3"),
+        (lambda: _build_two((Base(0), _weld(0, 1)), (0, 3, 7)),
+         "marker corner 7 outside 0..3"),
+        (lambda: _build_two((Base(0), _weld(0, 1)), (-1, 3, 2)),
+         "marker unit -1 outside 0..1"),
+        (lambda: _build_two((Base(0), "weld")),
+         "connection 1 is a str, not a Base, Weld or BoundingPlate"),
+        (lambda: _build_two((Base(0), None)),
+         "connection 1 is a NoneType, not a Base, Weld or BoundingPlate"),
+        (lambda: build(ManipulatorSpec((_unit(),), Base(0), (0, 3, 2))),
+         "spec connections is a Base, not a tuple or a list"),
+        (lambda: build(ManipulatorSpec(_unit(), (Base(0),), (0, 3, 2))),
+         "spec units is a UnitSpec, not a tuple or a list"),
+        (lambda: build(ManipulatorSpec((_unit(), {"alpha_deg": 89}), (Base(0),), (0, 3, 2))),
+         "unit 1 is a dict, not a UnitSpec"),
     ],
     ids=["weld-plate", "weld-parent", "base-unit-bool", "marker-plate", "mode",
          "config-str", "config-none", "marker-short", "marker-long", "marker-int",
-         "marker-none"],
+         "marker-none", "base-unit-range", "weld-child-range", "weld-plate-range",
+         "marker-corner-range", "marker-unit-negative", "connection-str",
+         "connection-none", "connections-bare", "units-bare", "unit-dict"],
 )
 def test_library_specs_take_the_spec_file_integer_rule(call, message):
     # A spec or schedule built in code is refused as a spec file's would
@@ -1110,6 +1132,10 @@ def _refusal_cases():
         for v in (math.nan, math.inf, -0.5 if rule == "nonnegative" else 0.0):
             msg = f"{name} = {v!r} must be finite and {rule}"
             yield pytest.param(call, v, msg, id=f"{k}-{name}-{v!r}")
+        # Every site but the pressure takes a length, which has one upper end.
+        if name != "pressure":
+            msg = f"{name} = 1e+300 must be at most 1e+06 mm"
+            yield pytest.param(call, 1e300, msg, id=f"{k}-{name}-1e+300")
     for config, t4, rng in ((UP, -0.5, "Up branch range (0, pi)"),
                             (UP, math.nan, "Up branch range (0, pi)"),
                             (DOWN, 0.5, "Down branch range (-pi, 0)"),
@@ -1125,3 +1151,71 @@ def test_boundary_refusal_messages_exact(call, value, message):
     with pytest.raises(DomainError) as exc:
         call(value)
     assert str(exc.value) == message
+
+
+def _shifted(v):
+    return Pose(np.eye(3), np.array([-25.0, 0.0, v]))
+
+
+@pytest.mark.parametrize(
+    "conns, message",
+    [
+        ((Base(0, pose=_shifted(-1e300)), _weld(0, 1)),
+         "connection 0 pose t_mm = [-25.0, 0.0, -1e+300] must lie within +-1e+06 mm"),
+        ((Base(0, slab_side=50.0, slab_center=(0, 2e6, 0)), _weld(0, 1)),
+         "connection 0 slab_center = [0.0, 2000000.0, 0.0] must lie within +-1e+06 mm"),
+        ((Base(0), Weld(0, 3, 1, 0, _shifted(math.nan))),
+         "connection 1 rel t_mm = [-25.0, 0.0, nan] must lie within +-1e+06 mm"),
+        ((Base(0), BoundingPlate(0, 3, 1, 0, 25.0, _shifted(1e300), Pose.identity())),
+         "connection 1 attach_parent t_mm = [-25.0, 0.0, 1e+300] must lie within +-1e+06 mm"),
+        ((Base(0), BoundingPlate(0, 3, 1, 0, 25.0, Pose.identity(), _shifted(1e7))),
+         "connection 1 attach_child t_mm = [-25.0, 0.0, 10000000.0] must lie within +-1e+06 mm"),
+    ],
+    ids=["base-pose", "slab-center", "weld-rel-nan", "attach-parent", "attach-child"],
+)
+def test_spec_translations_keep_to_the_length_range(conns, message):
+    # Pose checks only its rotation, so build checks where each spec pose
+    # and the slab centre place a plate, before any of them is used.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _build_two(conns)
+
+
+def _log_mm(low):
+    """log of a length drawn log-uniformly from low to the 1e6 mm upper end."""
+    return st.floats(math.log(low), math.log(1e6))
+
+
+@settings(max_examples=12, deadline=None)
+@example(log_d=math.log(1e6), log_m=math.log(1e6))
+@example(log_d=math.log(2.0), log_m=math.log(3.0))
+@given(log_d=_log_mm(2.0), log_m=_log_mm(3.0))
+def test_presets_inside_the_length_range_raise_no_float_error(log_d, log_m):
+    # Lengths drawn log-uniformly inside the range either run clean or are
+    # refused by the length rule, when a length the preset derives from
+    # them (a zigzag plate, the modular slab) leaves it; numpy never
+    # overflows, underflows or divides by zero on the way.
+    alpha = math.radians(89)
+    half = OutputAngle(math.pi / 2)
+    cases = (
+        (
+            lambda: preset_translational(alpha, GAMMA, math.exp(log_d)),
+            ActivationSchedule(
+                (Phase(0, half, 3), Phase(1, MPF(GAMMA), 3),
+                 Phase(2, MPF(GAMMA), 3), Phase(3, half, 3)),
+                Mode.SIMULTANEOUS,
+            ),
+        ),
+        (
+            lambda: preset_modular([UnitSpec(alpha, DOWN, math.exp(log_m))] * 4),
+            _mpf_schedule(4, steps=3),
+        ),
+    )
+    with np.errstate(all="raise"):
+        for spec, schedule in cases:
+            try:
+                manip = build(spec())
+            except DomainError as exc:
+                assert str(exc).endswith("must be at most 1e+06 mm")
+                continue
+            traj = run(manip, schedule)
+            assert np.isfinite([f.marker for f in traj.frames]).all()
