@@ -289,6 +289,67 @@ def test_library_specs_take_the_spec_file_integer_rule(call, message):
         call()
 
 
+def _shifted(v):
+    return Pose(np.eye(3), np.array([-25.0, 0.0, v]))
+
+
+@pytest.mark.parametrize(
+    "n, conns, marker, error, message",
+    [
+        (2, (Base(0), _weld(0, 5), "weld"), (1, 3, 2), SpecError,
+         "connection 2 is a str, not a Base, Weld or BoundingPlate"),
+        (2, (_weld(0, 5),), (1, 3, 2), SpecError,
+         "connection 0 child 5 outside 0..1"),
+        (2, (_weld(1, 1),), (1, 3, 2), SpecError,
+         "need exactly one base connection, got 0"),
+        (2, (Base(0), Weld(1, 3, 1, 0, _shifted(1e300))), (1, 3, 2), SpecError,
+         "connection joins a unit to itself"),
+        (3, (Base(0, pose=_shifted(1e300)), _weld(0, 1)), (1, 3, 2), SpecError,
+         "unit 2 is not connected to the base"),
+        (3, (Base(0), _weld(2, 1), _weld(1, 0), _weld(0, 1)), (1, 3, 2), SpecError,
+         "the grounded unit cannot also be a weld child"),
+        (2, (Base(0), None), (0, 3, 7), SpecError,
+         "connection 1 is a NoneType, not a Base, Weld or BoundingPlate"),
+        (2, (Base(0, pose=_shifted(1e300), slab_side=50.0, slab_center=(0, 2e6, 0)),
+             _weld(0, 1)), (1, 3, 2), DomainError,
+         "connection 0 pose t_mm = [-25.0, 0.0, 1e+300] must lie within +-1e+06 mm"),
+    ],
+    ids=["kind-index", "index-no-base", "no-base-self-join", "self-join-translation",
+         "unreachable-translation", "grounded-child-double-parent", "marker-kind",
+         "base-pose-slab-center"],
+)
+def test_spec_with_two_faults_reports_the_first_check(n, conns, marker, error, message):
+    # build checks kinds, then indices, the base count, the graph rules in
+    # spec order, reachability and translations, so a spec that breaks two
+    # rules is refused by the earlier one.
+    spec = ManipulatorSpec(tuple(_unit() for _ in range(n)), conns, marker)
+    with pytest.raises(error) as exc:
+        build(spec)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+_NOT_POSES = ("pose", None, (np.eye(3), np.zeros(3)), {"r": np.eye(3), "t_mm": [0, 0, 0]})
+
+
+@pytest.mark.parametrize("bad", _NOT_POSES, ids=["str", "none", "tuple", "dict"])
+@pytest.mark.parametrize(
+    "conns, field",
+    [
+        (lambda v: (Base(0, pose=v), _weld(0, 1)), "connection 0 pose"),
+        (lambda v: (Base(0), Weld(0, 3, 1, 0, v)), "connection 1 rel"),
+        (lambda v: (Base(0), BoundingPlate(0, 3, 1, 0, 25.0, v, Pose.identity())),
+         "connection 1 attach_parent"),
+        (lambda v: (Base(0), BoundingPlate(0, 3, 1, 0, 25.0, Pose.identity(), v)),
+         "connection 1 attach_child"),
+    ],
+    ids=["base-pose", "weld-rel", "attach-parent", "attach-child"],
+)
+def test_pose_fields_refuse_a_value_that_is_not_a_pose(conns, field, bad):
+    message = f"{field} is a {type(bad).__name__}, not a Pose"
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        _build_two(conns(bad))
+
+
 def _rejects_graph(n, base, links):
     """Whether a parent walk from every unit rejects (parent, child) links.
 
@@ -1136,6 +1197,12 @@ def _refusal_cases():
         if name != "pressure":
             msg = f"{name} = 1e+300 must be at most 1e+06 mm"
             yield pytest.param(call, 1e300, msg, id=f"{k}-{name}-1e+300")
+        # A value that is not a number is refused by the same rule, except
+        # by plate_m, whose shape rule reads it first.
+        if name != "plate_m":
+            v = None if k % 2 else "25"
+            msg = f"{name} = {v!r} must be finite and {rule}"
+            yield pytest.param(call, v, msg, id=f"{k}-{name}-{v!r}")
     for config, t4, rng in ((UP, -0.5, "Up branch range (0, pi)"),
                             (UP, math.nan, "Up branch range (0, pi)"),
                             (DOWN, 0.5, "Down branch range (-pi, 0)"),
@@ -1151,10 +1218,6 @@ def test_boundary_refusal_messages_exact(call, value, message):
     with pytest.raises(DomainError) as exc:
         call(value)
     assert str(exc.value) == message
-
-
-def _shifted(v):
-    return Pose(np.eye(3), np.array([-25.0, 0.0, v]))
 
 
 @pytest.mark.parametrize(
@@ -1178,6 +1241,19 @@ def test_spec_translations_keep_to_the_length_range(conns, message):
     # and the slab centre place a plate, before any of them is used.
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         _build_two(conns)
+
+
+@pytest.mark.parametrize("n, m, reach", [(4, 2e5, 800025.0), (32, 1.6e4, 512025.0)])
+def test_modular_preset_names_the_chain_its_slab_refuses(n, m, reach):
+    # The base slab side, 2 (reach + 25 mm), is derived from the chain, so
+    # the refusal names the chain's unit count and reach, not only the slab.
+    slab = 2.0 * (reach + 25.0)
+    message = (
+        f"modular chain of {n} units reaches {reach!r} mm, so its base slab "
+        f"side {slab!r} must be at most 1e+06 mm"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        preset_modular([UnitSpec(math.radians(89), DOWN, m)] * n)
 
 
 def _log_mm(low):
