@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linkage import Configuration, DomainError, joint_state, mpf_theta1
+from .linkage import Configuration, DomainError, mpf_theta1
 from .linkage import semi_flat_theta1, sweep
 from .moments import moment_curve
 from .pouch import ActuatorConditions, pouch_geometry
@@ -171,22 +171,17 @@ def cmd_states(args) -> int:
     alpha = math.radians(args.alpha_deg)
     config = Configuration(args.config)
     gamma = math.radians(args.gamma_deg)
-
-    def state_dict(theta1: float) -> dict:
-        st = joint_state(alpha, theta1, config)
-        return {
-            "theta1_deg": _r9(math.degrees(st.theta1)),
-            "theta2_deg": _r9(math.degrees(st.theta2)),
-            "theta3_deg": _r9(math.degrees(st.theta3)),
-            "theta4_deg": _r9(math.degrees(st.theta4)),
-        }
-
+    theta1 = [semi_flat_theta1(alpha, config), mpf_theta1(alpha, gamma)]
+    semi_flat, mpf = (
+        {k: _r9(v) for k, v in zip(_SWEEP_COLUMNS, row)}
+        for row in np.degrees(sweep(alpha, config, np.array(theta1))).tolist()
+    )
     out = {
         "alpha_deg": _r9(args.alpha_deg),
         "config": config.value,
         "gamma_deg": _r9(args.gamma_deg),
-        "semi_flat": state_dict(semi_flat_theta1(alpha, config)),
-        "mpf": state_dict(mpf_theta1(alpha, gamma)),
+        "semi_flat": semi_flat,
+        "mpf": mpf,
     }
     sys.stdout.write(json.dumps(out, indent=2) + "\n")
     return 0

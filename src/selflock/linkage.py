@@ -160,9 +160,13 @@ def _check_alpha(alpha: float) -> None:
 
 def _check_finite(name: str, value: float, nonnegative: bool = False) -> None:
     # The one rule for every length, size, pressure and clearance; NaN
-    # fails both comparisons, so it is refused too.
-    low = 0.0 <= value if nonnegative else 0.0 < value
-    if not (low and value < math.inf):
+    # fails both comparisons, so it is refused too, and so is a value that
+    # cannot be compared, such as a string or None.
+    try:
+        ok = (0.0 <= value if nonnegative else 0.0 < value) and value < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
         sign = "nonnegative" if nonnegative else "positive"
         raise DomainError(f"{name} = {value!r} must be finite and {sign}")
 

@@ -448,10 +448,6 @@ def _phase_from_json(d, path: str, gamma: float) -> Phase:
 # Built manipulator
 
 
-# The unit and plate indices of a weld or a bounding plate.
-_LINK_INDICES = ("parent", "parent_plate", "child", "child_plate")
-
-
 class Manipulator:
     """Validated assembly with resolved frame chain and collision model.
 
@@ -476,15 +472,30 @@ class Manipulator:
         n = len(spec.units)
         if not isinstance(spec.marker, (tuple, list)) or len(spec.marker) != 3:
             raise SpecError(f"marker must be (unit, plate, corner), got {spec.marker!r}")
-        # Every index is an integer inside what it counts, as a spec file's
-        # are, before any lookup reads it: a plate or corner counts 4, a unit n.
-        named = [(f"marker {k}", v) for k, v in zip(("unit", "plate", "corner"), spec.marker)]
+        # One walk in spec order checks each connection's kind, files it as
+        # the base or a link, and files its fields by annotation, as the
+        # JSON codec reads them: an int is an index, a Pose places a
+        # translation and the slab centre a point. A pose that is not a Pose
+        # is refused before its translation is read.
+        named = [(f"marker {f.name}", v) for f, v in zip(fields(_Marker), spec.marker)]
+        bases, links, places = [], [], []
         for ci, c in enumerate(spec.connections):
             if not isinstance(c, (Base, Weld, BoundingPlate)):
                 kind = type(c).__name__
                 raise SpecError(f"connection {ci} is a {kind}, not a Base, Weld or BoundingPlate")
-            keys = ("unit", "plate") if isinstance(c, Base) else _LINK_INDICES
-            named += [(f"connection {ci} {k}", getattr(c, k)) for k in keys]
+            (bases if isinstance(c, Base) else links).append((ci, c))
+            for f in fields(c):
+                name, v = f"connection {ci} {f.name}", getattr(c, f.name)
+                if f.type == "int":
+                    named.append((name, v))
+                elif f.type == "Pose":
+                    if not isinstance(v, Pose):
+                        raise SpecError(f"{name} is a {type(v).__name__}, not a Pose")
+                    places.append((f"{name} t_mm", v.t))
+                elif f.type == "tuple":
+                    places.append((name, v))
+        # Every index is an integer inside what it counts, as a spec file's
+        # are, before any lookup reads it: a plate or corner counts 4, a unit n.
         for name, v in named:
             if not _is_integer(v):
                 raise SpecError(f"{name} must be an integer, got {v!r}")
@@ -492,17 +503,14 @@ class Manipulator:
             if not 0 <= v < count:
                 raise SpecError(f"{name} {v} outside 0..{count - 1}")
 
-        bases = [c for c in spec.connections if isinstance(c, Base)]
         if len(bases) != 1:
             raise SpecError(f"need exactly one base connection, got {len(bases)}")
-        self.base = bases[0]
+        self.base = bases[0][1]
 
         # Children per parent unit as (connection index, connection).
         children = {}
         has_parent = set()
-        for ci, c in enumerate(spec.connections):
-            if isinstance(c, Base):
-                continue
+        for ci, c in links:
             if c.child == c.parent:
                 raise SpecError("connection joins a unit to itself")
             if c.child in has_parent:
@@ -528,18 +536,12 @@ class Manipulator:
 
         # Every translation the spec places keeps to the length range too;
         # Pose checks only its rotation.
-        for ci, c in enumerate(spec.connections):
-            poses = [f.name for f in fields(c) if f.type == "Pose"]
-            places = [(f"{name} t_mm", getattr(c, name).t) for name in poses]
-            if isinstance(c, Base):
-                places.append(("slab_center", c.slab_center))
-            for name, t in places:
-                t = np.asarray(t, dtype=float)
-                if not np.abs(t).max() <= _MAX_LENGTH_MM:
-                    raise DomainError(
-                        f"connection {ci} {name} = {t.tolist()} must lie within "
-                        f"+-{_MAX_LENGTH_MM:g} mm"
-                    )
+        for name, t in places:
+            t = np.asarray(t, dtype=float)
+            if not np.abs(t).max() <= _MAX_LENGTH_MM:
+                raise DomainError(
+                    f"{name} = {t.tolist()} must lie within +-{_MAX_LENGTH_MM:g} mm"
+                )
 
         mu, mp, mc = spec.marker
 
@@ -579,16 +581,8 @@ class Manipulator:
             self._body.append(self._body[4 * self.base.unit + self.base.plate])
             h = 0.5 * self.base.slab_side
             cx, cy, cz = self.base.slab_center
-            polys.append(
-                np.array(
-                    [
-                        [cx - h, cy - h, cz],
-                        [cx + h, cy - h, cz],
-                        [cx + h, cy + h, cz],
-                        [cx - h, cy + h, cz],
-                    ]
-                )
-            )
+            corners = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+            polys.append(np.array([[cx + i * h, cy + j * h, cz] for i, j in corners]))
         self._kinematics = UnitKinematics(
             [u.alpha for u in spec.units], [u.config for u in spec.units]
         )
@@ -831,6 +825,11 @@ def preset_modular(units) -> ManipulatorSpec:
     # shallow enough that the base joint's swing runs into it part way.
     reach = sum(u.plate_sizes[3] for u in units) + (s if ndist < n else 0.0)
     slab_side = 2.0 * (reach + M_DEFAULT)
+    if slab_side > _MAX_LENGTH_MM:
+        raise DomainError(
+            f"modular chain of {n} units reaches {reach!r} mm, so its base slab "
+            f"side {slab_side!r} must be at most {_MAX_LENGTH_MM:g} mm"
+        )
     slab_z = -0.75 * reach
     connections = [
         Base(
