@@ -274,12 +274,23 @@ def _build_two(conns, marker=(1, 3, 2)):
          "spec units is a UnitSpec, not a tuple or a list"),
         (lambda: build(ManipulatorSpec((_unit(), {"alpha_deg": 89}), (Base(0),), (0, 3, 2))),
          "unit 1 is a dict, not a UnitSpec"),
+        (lambda: _build_two((Base(0, pose="pose"), _weld(0, 1))),
+         "connection 0 pose is a str, not a Pose"),
+        (lambda: _build_two((Base(0), Weld(0, 3, 1, 0, None))),
+         "connection 1 rel is a NoneType, not a Pose"),
+        (lambda: _build_two((Base(0), BoundingPlate(
+            0, 3, 1, 0, 25.0, (np.eye(3), np.zeros(3)), Pose.identity()))),
+         "connection 1 attach_parent is a tuple, not a Pose"),
+        (lambda: _build_two((Base(0), BoundingPlate(
+            0, 3, 1, 0, 25.0, Pose.identity(), {"r": np.eye(3), "t_mm": [0, 0, 0]}))),
+         "connection 1 attach_child is a dict, not a Pose"),
     ],
     ids=["weld-plate", "weld-parent", "base-unit-bool", "marker-plate", "mode",
          "config-str", "config-none", "marker-short", "marker-long", "marker-int",
          "marker-none", "base-unit-range", "weld-child-range", "weld-plate-range",
          "marker-corner-range", "marker-unit-negative", "connection-str",
-         "connection-none", "connections-bare", "units-bare", "unit-dict"],
+         "connection-none", "connections-bare", "units-bare", "unit-dict",
+         "base-pose-str", "weld-rel-none", "attach-parent-tuple", "attach-child-dict"],
 )
 def test_library_specs_take_the_spec_file_integer_rule(call, message):
     # A spec or schedule built in code is refused as a spec file's would
@@ -326,28 +337,6 @@ def test_spec_with_two_faults_reports_the_first_check(n, conns, marker, error, m
     with pytest.raises(error) as exc:
         build(spec)
     assert type(exc.value) is error and str(exc.value) == message
-
-
-_NOT_POSES = ("pose", None, (np.eye(3), np.zeros(3)), {"r": np.eye(3), "t_mm": [0, 0, 0]})
-
-
-@pytest.mark.parametrize("bad", _NOT_POSES, ids=["str", "none", "tuple", "dict"])
-@pytest.mark.parametrize(
-    "conns, field",
-    [
-        (lambda v: (Base(0, pose=v), _weld(0, 1)), "connection 0 pose"),
-        (lambda v: (Base(0), Weld(0, 3, 1, 0, v)), "connection 1 rel"),
-        (lambda v: (Base(0), BoundingPlate(0, 3, 1, 0, 25.0, v, Pose.identity())),
-         "connection 1 attach_parent"),
-        (lambda v: (Base(0), BoundingPlate(0, 3, 1, 0, 25.0, Pose.identity(), v)),
-         "connection 1 attach_child"),
-    ],
-    ids=["base-pose", "weld-rel", "attach-parent", "attach-child"],
-)
-def test_pose_fields_refuse_a_value_that_is_not_a_pose(conns, field, bad):
-    message = f"{field} is a {type(bad).__name__}, not a Pose"
-    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
-        _build_two(conns(bad))
 
 
 def _rejects_graph(n, base, links):
