@@ -219,6 +219,9 @@ def _bisect_each_bracket(angles, theta1, samples=3600):
 @example(a=89.0, t1=179.0, quad=False)
 @example(a=80.0, t1=0.0, quad=False)
 @example(a=60.0, t1=40.0, quad=True)
+@example(a=89.5, t1=180.0, quad=False)
+@example(a=60.0, t1=-180.0, quad=True)
+@example(a=46.0, t1=math.degrees(1e-300), quad=False)
 def test_oracle_roots_match_per_bracket_bisection(a, t1, quad):
     # quad swaps in the generic all-60-degree vertex; a is then unused.
     if quad:
@@ -298,9 +301,13 @@ _ORACLE_DRAWS = dict(
 @example(a=89.0, t1=179.0, quad=False)
 @example(a=80.0, t1=0.0, quad=False)
 @example(a=60.0, t1=40.0, quad=True)
+@example(a=89.5, t1=180.0, quad=False)
+@example(a=60.0, t1=-180.0, quad=True)
+@example(a=46.0, t1=math.degrees(1e-300), quad=False)
 def test_oracle_roots_equal_one_level_bisection(a, t1, quad):
-    # Several levels per residual call must give the roots of one level per
-    # call exactly, not just within the 1e-12 stop width.
+    # Bisecting each bracket on its own must give the roots of halving all
+    # brackets together, one level per call, exactly, not just within the
+    # 1e-12 stop width.
     if quad:
         ang = CentralAngles(*[math.radians(60)] * 4)
     else:
@@ -330,6 +337,12 @@ def test_closure_residual_bit_identical_to_one_pass(a, t1, quad, t4, n):
     for th1, th4 in ((t1, t4s), (t1s, t4), (t1s, t4s)):
         got = closure_residual(ang, th1, th4)
         assert got.tobytes() == _residual_one_pass(ang, th1, th4).tobytes()
+    # A list and a 0-d array are read as arrays at the public call.
+    got = closure_residual(ang, t1, t4s.tolist())
+    assert got.tobytes() == _residual_one_pass(ang, t1, t4s).tobytes()
+    got = closure_residual(ang, t1, np.array(t4))
+    assert type(got) is float
+    assert got == _residual_one_pass(ang, t1, t4)
 
 
 @settings(max_examples=60, deadline=None)

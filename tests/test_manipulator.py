@@ -18,6 +18,7 @@ from selflock import (
     ActuatorConditions,
     Base,
     BoundingPlate,
+    CentralAngles,
     Configuration,
     DomainError,
     MPF,
@@ -41,7 +42,9 @@ from selflock import (
     run,
     spec_sha256,
     theta1_of_theta4,
+    theta4_of_theta1,
     translational_link_lengths,
+    unit_poses,
     workspace_projection,
 )
 from selflock.geometry import pad_polygons, plate_axes, plate_axis_bounds
@@ -1177,6 +1180,31 @@ _FINITE_SITES = (
 )
 
 
+def _phase_run(target):
+    manip = build(preset_rotational(math.radians(89), math.radians(89)))
+    run(manip, ActivationSchedule((Phase(0, target, 3),), Mode.SEQUENTIAL))
+
+
+def _cached_unit_poses(v):
+    # unit_poses caches on alpha, and True == 1.0 with the same hash, so a
+    # cached 1.0 must not let True through.
+    unit_poses(1.0, 0.3, UP)
+    unit_poses(v, 0.3, UP)
+
+
+# Each boundary that takes an angle, with the name its message gives.
+_ANGLE_SITES = (
+    ("alpha", lambda v: UnitSpec(v, DOWN)),
+    ("alpha", lambda v: theta4_of_theta1(v, 0.3, UP)),
+    ("alpha", lambda v: semi_flat_theta1(v, UP)),
+    ("alpha", _cached_unit_poses),
+    ("alpha12", lambda v: CentralAngles(v, 1.0, 1.0, 1.0)),
+    ("gamma", lambda v: mpf_theta1(math.radians(89), v)),
+    ("gamma", lambda v: _phase_run(MPF(v))),
+    ("angle", lambda v: _phase_run(OutputAngle(v))),
+)
+
+
 def _refusal_cases():
     for k, (name, call, rule) in enumerate(_FINITE_SITES):
         for v in (math.nan, math.inf, -0.5 if rule == "nonnegative" else 0.0):
@@ -1186,12 +1214,17 @@ def _refusal_cases():
         if name != "pressure":
             msg = f"{name} = 1e+300 must be at most 1e+06 mm"
             yield pytest.param(call, 1e300, msg, id=f"{k}-{name}-1e+300")
-        # A value that is not a number is refused by the same rule, except
-        # by plate_m, whose shape rule reads it first.
+        # A value that is not a number, and a bool, which compares as 0 or 1,
+        # are refused by the same rule, except by plate_m, whose shape rule
+        # reads a string or None first and reads True as 1.0.
         if name != "plate_m":
-            v = None if k % 2 else "25"
-            msg = f"{name} = {v!r} must be finite and {rule}"
-            yield pytest.param(call, v, msg, id=f"{k}-{name}-{v!r}")
+            for v in (None if k % 2 else "25", True):
+                msg = f"{name} = {v!r} must be finite and {rule}"
+                yield pytest.param(call, v, msg, id=f"{k}-{name}-{v!r}")
+    for k, (name, call) in enumerate(_ANGLE_SITES):
+        for v in ("89", None, True):
+            msg = f"{name} = {v!r} is not a number"
+            yield pytest.param(call, v, msg, id=f"angle{k}-{name}-{v!r}")
     for config, t4, rng in ((UP, -0.5, "Up branch range (0, pi)"),
                             (UP, math.nan, "Up branch range (0, pi)"),
                             (DOWN, 0.5, "Down branch range (-pi, 0)"),
@@ -1207,6 +1240,18 @@ def test_boundary_refusal_messages_exact(call, value, message):
     with pytest.raises(DomainError) as exc:
         call(value)
     assert str(exc.value) == message
+
+
+def test_numpy_numbers_pass_the_finite_rule_and_numpy_bools_do_not():
+    for v in (np.float64(25.0), np.int64(25)):
+        assert UnitSpec(math.radians(89), DOWN, v).m == v
+        assert ActuatorConditions(v).pressure == v
+    for v in (np.True_, False):
+        with pytest.raises(DomainError, match=re.escape(f"m = {v!r} must be finite")):
+            UnitSpec(math.radians(89), DOWN, v)
+    with pytest.raises(DomainError, match=re.escape("alpha = np.True_ is not a number")):
+        UnitSpec(np.True_, DOWN)
+    assert UnitSpec(np.float64(math.radians(89)), DOWN).alpha == math.radians(89)
 
 
 @pytest.mark.parametrize(
