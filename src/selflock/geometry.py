@@ -306,7 +306,7 @@ class UnitPoseSet:
     alpha: float
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)
 def _unit_constants(alpha: float) -> tuple:
     """What the unit kinematics needs of alpha alone, validated and computed once.
 
@@ -315,7 +315,9 @@ def _unit_constants(alpha: float) -> tuple:
     plate 4 from its chain-side layout to the ground-aligned one, and the
     cos(alpha) and sin(alpha) of the closed-form joint angles. Every caller
     shares these arrays, so they are read-only. An invalid alpha raises
-    here, and lru_cache keeps no entry for a call that raised.
+    here, and lru_cache keeps no entry for a call that raised. The cache is
+    typed: True equals 1.0 and hashes alike, so an untyped cache would hand
+    a bool alpha the entry of 1.0 and skip its check.
     """
     CentralAngles.self_lock(alpha)
     dirs = tuple(
@@ -382,7 +384,7 @@ class UnitKinematics:
         return rt, t4, t3
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)
 def _one_unit(alpha: float, config: Configuration) -> UnitKinematics:
     return UnitKinematics((alpha,), (config,))
 

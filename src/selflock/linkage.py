@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,7 @@ class CentralAngles:
     def __post_init__(self):
         for name in ("alpha12", "alpha23", "alpha34", "alpha41"):
             v = getattr(self, name)
+            _check_angle(name, v)
             if not 0.0 < v < math.pi:
                 raise DomainError(f"{name} = {v!r} outside (0, pi)")
 
@@ -78,6 +80,7 @@ class CentralAngles:
         construction degenerates, and at 90 degrees the deficit vanishes
         (the joint would fold flat).
         """
+        _check_angle("alpha", alpha)
         if not math.pi / 4 < alpha < math.pi / 2:
             raise DomainError(
                 f"self-locking joint needs alpha in (45, 90) degrees, got "
@@ -112,6 +115,7 @@ def closure_residual(angles: CentralAngles, theta1, theta4):
     closure identity minus cos(alpha34). Accepts scalars or numpy arrays
     for theta1 and theta4.
     """
+    theta4 = np.asarray(theta4, dtype=float)
     return _float_or_array(_residual_of_theta4(angles, theta1)(theta4))
 
 
@@ -127,7 +131,8 @@ def _residual_of_theta4(angles: CentralAngles, theta1):
         - cos a34
 
     with t4 = |theta4|, so every value is bit-identical to a single-pass
-    evaluation. It returns a numpy value (0-d for scalar arguments).
+    evaluation. theta4 is a float or an ndarray; the function returns a
+    numpy value (0-d for scalar arguments).
     """
     a12, a23, a34, a41 = angles.alpha12, angles.alpha23, angles.alpha34, angles.alpha41
     t1 = np.asarray(theta1, dtype=float)
@@ -139,7 +144,7 @@ def _residual_of_theta4(angles: CentralAngles, theta1):
     s1, c1 = np.sin(t1), np.cos(t1)
 
     def residual(theta4):
-        t4 = np.abs(np.asarray(theta4, dtype=float))
+        t4 = abs(theta4)
         c4 = np.cos(t4)
         return lead - (k4 * c4 + k1) * s12 + k * (s1 * np.sin(t4) - c1 * c4 * c12) - c34
 
@@ -151,9 +156,21 @@ def _float_or_array(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _is_number(value) -> bool:
+    """Whether value is a real number; a bool, which compares as 0 or 1, is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_angle(name: str, value) -> None:
+    """Refuse an angle that is not a number by name, before any range test."""
+    if not _is_number(value):
+        raise DomainError(f"{name} = {value!r} is not a number")
+
+
 def _check_alpha(alpha: float) -> None:
     # The closed forms below stay evaluable up to and including 90 degrees,
     # where the joint degenerates to a flat-foldable vertex.
+    _check_angle("alpha", alpha)
     if not 0.0 < alpha <= math.pi / 2:
         raise DomainError(f"alpha = {alpha!r} outside (0, pi/2]")
 
@@ -161,12 +178,12 @@ def _check_alpha(alpha: float) -> None:
 def _check_finite(name: str, value: float, nonnegative: bool = False) -> None:
     # The one rule for every length, size, pressure and clearance; NaN
     # fails both comparisons, so it is refused too, and so is a value that
-    # cannot be compared, such as a string or None.
-    try:
-        ok = (0.0 <= value if nonnegative else 0.0 < value) and value < math.inf
-    except TypeError:
-        ok = False
-    if not ok:
+    # is not a number, such as a string, None or a bool.
+    if not (
+        _is_number(value)
+        and (0.0 <= value if nonnegative else 0.0 < value)
+        and value < math.inf
+    ):
         sign = "nonnegative" if nonnegative else "positive"
         raise DomainError(f"{name} = {value!r} must be finite and {sign}")
 
@@ -274,11 +291,6 @@ def theta1_of_theta4(alpha: float, theta4: float, config: Configuration) -> floa
     return 2.0 * math.atan2(math.cos(alpha) * math.cos(t), math.sin(t))
 
 
-# Bisection levels that one residual call resolves in oracle_roots. Each
-# bracket then evaluates 2**k - 1 midpoints of which it visits k. Timed on
-# 2 cores: k = 3 to 6 all cost 0.32-0.37 ms per call (k = 4 least), from
-# 0.88 ms at one level per call; k = 8 costs 0.50 ms.
-_LEVELS_PER_CALL = 4
 # oracle_roots' uniform scan of theta4 over (-pi, pi], 3600 points; shared
 # by every call, so read-only.
 _ORACLE_GRID = -math.pi + 2.0 * math.pi * np.arange(1, 3601) / 3600
@@ -295,11 +307,6 @@ def oracle_roots(angles: CentralAngles, theta1: float) -> list:
     (-pi, pi]. Exact grid zeros are kept as-is. Independent of the closed
     forms above, so it serves as their verification oracle. May return an
     empty list when no closure exists at this theta1.
-
-    One residual evaluation serves several halving levels: it covers every
-    midpoint that the next levels can reach, and each bracket then takes
-    the steps it would take one level per evaluation, so the roots are
-    those of plain bisection to the bit.
     """
     residual = _residual_of_theta4(angles, theta1)
     grid = _ORACLE_GRID
@@ -308,50 +315,20 @@ def oracle_roots(angles: CentralAngles, theta1: float) -> list:
     # circle, running past +pi to grid[0] + 2 pi.
     ends = np.append(grid[1:], grid[0] + 2.0 * math.pi)
     cross = np.flatnonzero(vals * np.roll(vals, -1) < 0.0)
-    # [a, b, residual at a] of every sign-change cell, as Python floats.
-    brackets = [
-        list(abf)
-        for abf in zip(grid[cross].tolist(), ends[cross].tolist(), vals[cross].tolist())
-    ]
-    n = 1 << _LEVELS_PER_CALL
-    while True:
-        live = [br for br in brackets if br[1] - br[0] > 1e-12]
-        if not live:
-            break
-        # Per bracket, its ends and in between every midpoint that its next
-        # levels of halving can reach, each 0.5 * (a + b) of its own
-        # sub-bracket: level j fills the odd multiples of n >> (j + 1).
-        rows = []
-        for a, b, _ in live:
-            pts = [a] * (n + 1)
-            pts[n] = b
-            step = n
-            while step > 1:
-                half = step >> 1
-                pts[half::step] = [
-                    0.5 * (lo + hi) for lo, hi in zip(pts[:-1:step], pts[step::step])
-                ]
-                step = half
-            rows.append(pts)
-        inner = np.array([pts[1:-1] for pts in rows])
-        fms = residual(np.where(inner > math.pi, inner - 2.0 * math.pi, inner)).tolist()
-        # Walk each bracket down its row with one halving's rule per level:
-        # keep the half where the sign changes, collapse on an exact zero.
-        for br, mids, fm_row in zip(live, rows, fms):
-            a, b, fa = br
-            lo, hi = 0, n
-            while hi - lo > 1 and b - a > 1e-12:
-                m = (lo + hi) >> 1
-                mid, fm = mids[m], fm_row[m - 1]
-                if fa * fm < 0.0:
-                    b, hi = mid, m
-                elif fm == 0.0:
-                    a = b = mid
-                else:
-                    a, fa, lo = mid, fm, m
-            br[:] = a, b, fa
-    found = np.array([0.5 * (a + b) for a, b, _ in brackets])
-    found = np.where(found > math.pi, found - 2.0 * math.pi, found)
+    found = []
+    for a, b, fa in zip(grid[cross].tolist(), ends[cross].tolist(), vals[cross].tolist()):
+        # Keep the half where the sign changes; an exact zero ends the bracket.
+        while b - a > 1e-12:
+            mid = 0.5 * (a + b)
+            fm = residual(mid - 2.0 * math.pi if mid > math.pi else mid)
+            if fa * fm < 0.0:
+                b = mid
+            elif fm == 0.0:
+                a = b = mid
+            else:
+                a, fa = mid, fm
+        root = 0.5 * (a + b)
+        found.append(root - 2.0 * math.pi if root > math.pi else root)
     dedup = []
     for r in np.sort(np.concatenate((grid[vals == 0.0], found))).tolist():
         if not dedup or r - dedup[-1] > 1e-10:
@@ -366,6 +343,7 @@ def mpf_theta1(alpha: float, gamma: float) -> float:
     share theta1, so the result takes no branch. Accepts gamma up to and
     including pi/2 (gamma = pi/2 is the theta1 = 0 state).
     """
+    _check_angle("gamma", gamma)
     if not 0.0 < gamma <= math.pi / 2:
         raise DomainError(f"gamma = {gamma!r} outside (0, pi/2]")
     return theta1_of_theta4(alpha, gamma, Configuration.UP)

@@ -46,6 +46,7 @@ from .linkage import (
     Configuration,
     DomainError,
     _MAX_LENGTH_MM,
+    _check_angle,
     _check_length,
     mpf_theta1,
     semi_flat_theta1,
@@ -312,6 +313,7 @@ def _target_theta1(target, unit: UnitSpec) -> float:
         return mpf_theta1(alpha, target.gamma)
     if isinstance(target, SemiFlat):
         return semi_flat_theta1(alpha, config)
+    _check_angle("angle", target.angle)
     return theta1_of_theta4(alpha, config.sign * target.angle, config)
 
 
