@@ -1199,6 +1199,7 @@ _ANGLE_SITES = (
     ("alpha", lambda v: semi_flat_theta1(v, UP)),
     ("alpha", _cached_unit_poses),
     ("alpha12", lambda v: CentralAngles(v, 1.0, 1.0, 1.0)),
+    ("theta4", lambda v: theta1_of_theta4(math.radians(60), v, UP)),
     ("gamma", lambda v: mpf_theta1(math.radians(89), v)),
     ("gamma", lambda v: _phase_run(MPF(v))),
     ("angle", lambda v: _phase_run(OutputAngle(v))),
