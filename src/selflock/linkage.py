@@ -283,6 +283,7 @@ def theta1_of_theta4(alpha: float, theta4: float, config: Configuration) -> floa
     Down; the fold-over points 0 and +-pi have no finite preimage.
     """
     _check_alpha(alpha)
+    _check_angle("theta4", theta4)
     if not 0.0 < config.sign * theta4 < math.pi:
         up = config is Configuration.UP
         branch = "Up branch range (0, pi)" if up else "Down branch range (-pi, 0)"
